@@ -34,10 +34,6 @@
 //! - **Per-wave fan-out cost** — a direct microbench of one planning
 //!   round's work distribution at 8 workers: persistent-pool handoff vs
 //!   the per-call scoped spawn+join the engine paid before `dex-exec`.
-//! - **Adaptive crossover** (small scale, full mode) — the deterministic
-//!   small-n controller in auto mode: batches routed to the sequential
-//!   path, ops kept waved by the probe schedule, throughput vs both the
-//!   oracle and the pure waved engine.
 //!
 //! A `--type2` variant swaps the mixed churn for a type-2-heavy schedule
 //! (pure batch growth through an inflation, then pure batch shrink
@@ -68,7 +64,7 @@ pub struct BatchBenchOptions {
     /// shrink through a deflation) instead of the mixed churn: exercises
     /// the pooled type-2 rebuild (permutation resolution, cloud staging)
     /// inside batch steps. Smoke-formatted — the output is byte-identical
-    /// for any `--threads` value and CI diffs 1/3/8.
+    /// for any `--exec-threads` value and CI diffs 1/3/8.
     pub type2: bool,
     /// Planner thread count for the smoke parity pass (full mode sweeps a
     /// fixed list instead; results are bit-identical for any value).
@@ -130,13 +126,12 @@ struct BatchChurn {
 }
 
 impl BatchChurn {
-    fn new(sc: &Scale, seed: u64, waved: bool, threads: usize, crossover: bool) -> Self {
+    fn new(sc: &Scale, seed: u64, waved: bool, threads: usize) -> Self {
         let n0 = sc.n0;
         let mut dex =
             DexNetwork::bootstrap(DexConfig::new(splitmix64(seed ^ 0xba7c4)).simplified(), n0);
         dex.net.set_history_mode(HistoryMode::Off);
         dex.set_heal_threads(threads);
-        dex.set_adaptive_crossover(crossover);
         let live = dex.node_ids();
         let next_id = live.iter().map(|u| u.0).max().unwrap_or(0) + 1;
         BatchChurn {
@@ -244,9 +239,6 @@ struct RunOutcome {
     stats: dex::core::parheal::BatchHealStats,
     /// Steps whose recovery was a type-2 flavour (whole run).
     type2_steps: u64,
-    /// Steps the adaptive crossover routed to the sequential path
-    /// (whole run; 0 unless the crossover config is enabled).
-    crossover_steps: u64,
     /// Executor threads spawned during the measured window — 0 on a warm
     /// pool (the warmup window absorbs the lazy spawns).
     pool_spawns: u64,
@@ -257,13 +249,12 @@ fn run_config(
     seed: u64,
     waved: bool,
     threads: usize,
-    crossover: bool,
     opts: &BatchBenchOptions,
 ) -> RunOutcome {
     // Type-2 schedules measure the whole run (the inflate/deflate events
     // *are* the workload); mixed churn warms up for a quarter first.
     let warmup = if sc.grow.is_some() { 0 } else { sc.steps / 4 };
-    let mut d = BatchChurn::new(sc, seed, waved, threads, crossover);
+    let mut d = BatchChurn::new(sc, seed, waved, threads);
     let check = opts.smoke || opts.type2;
     for s in 0..warmup {
         d.step(s, sc.batch);
@@ -294,7 +285,6 @@ fn run_config(
         bytes,
         stats: d.dex.batch_stats.clone(),
         type2_steps: d.dex.net.totals().type2_steps - totals0.type2_steps,
-        crossover_steps: d.dex.net.totals().crossover_steps - totals0.crossover_steps,
         pool_spawns: dex::exec::total_spawns() - spawns0,
     }
 }
@@ -421,7 +411,7 @@ pub fn run_batch_bench(opts: &BatchBenchOptions) -> String {
     // Machine context for reading the thread sweep: real multi-core
     // measurements and single-core pool-handoff numbers look alike in a
     // flat table — `available_parallelism` vs `thread_budget` is what
-    // distinguishes them (and flags Amdahl projections as projections).
+    // distinguishes them.
     let _ = writeln!(json, "  {},", crate::exec_header_json());
     if !deterministic_output {
         let (pool_ns, spawn_ns) = fanout_microbench();
@@ -442,7 +432,7 @@ pub fn run_batch_bench(opts: &BatchBenchOptions) -> String {
         let measured_steps = sc.steps - warmup;
 
         // Sequential oracle.
-        let seq = run_config(sc, seed, false, 1, false, opts);
+        let seq = run_config(sc, seed, false, 1, opts);
         let seq_ops_s = seq.measured_ops as f64 / seq.wall_s;
 
         // Waved sweep: smoke/type2 runs only the caller's thread count
@@ -455,7 +445,7 @@ pub fn run_batch_bench(opts: &BatchBenchOptions) -> String {
         };
         let waved: Vec<(usize, RunOutcome)> = sweep
             .iter()
-            .map(|&t| (t, run_config(sc, seed, true, t, false, opts)))
+            .map(|&t| (t, run_config(sc, seed, true, t, opts)))
             .collect();
         for (t, w) in &waved {
             assert_eq!(
@@ -581,69 +571,6 @@ pub fn run_batch_bench(opts: &BatchBenchOptions) -> String {
             );
         }
         let _ = writeln!(json, "      ]");
-        if !deterministic_output {
-            // Amdahl projection from the measured 1-thread sections: the
-            // planning pass is read-only and chunk-deterministic, so it
-            // divides across workers; partition/commit/serial stay
-            // sequential by design, and driver overhead (wall minus
-            // engine sections) is unchanged. This is a PROJECTION, not a
-            // measurement — the container this runs in is pinned to
-            // `available_parallelism` cores and the measured sweep above
-            // is the ground truth for this machine.
-            if let Some((_, w1)) = waved.iter().find(|(t, _)| *t == 1) {
-                let s = &w1.stats;
-                let proj_threads = 8.0f64;
-                let saved_s = s.plan_ns as f64 * (1.0 - 1.0 / proj_threads) / 1e9;
-                let proj_wall = (w1.wall_s - saved_s).max(1e-9);
-                let proj_ops_s = w1.measured_ops as f64 / proj_wall;
-                let _ = writeln!(
-                    json,
-                    "      ,\"projection\": {{\"kind\": \"amdahl_from_measured_sections\", \"threads\": 8, \"ops_per_sec\": {:.0}, \"speedup_vs_seq\": {:.3}, \"assumes\": \"plan phase divides by threads; partition/commit/serial and driver overhead unchanged; zero fan-out cost\"}}",
-                    proj_ops_s,
-                    proj_ops_s / seq_ops_s
-                );
-                println!(
-                    "n0={:<9} proj  {:>10.0} ops/s  (8-thread Amdahl projection from 1-thread sections, {:.2}x vs seq)",
-                    sc.n0,
-                    proj_ops_s,
-                    proj_ops_s / seq_ops_s
-                );
-            }
-            // Adaptive small-n crossover, auto mode: the controller routes
-            // cache-resident batches to the sequential path (decision
-            // recorded per step in `StepMetrics::crossover`). Only the
-            // small scale is in the controller's regime — larger scales
-            // always wave, so re-running them tells us nothing.
-            if sc.n0 < 100_000 {
-                let auto = run_config(sc, seed, true, 8, true, opts);
-                assert_eq!(
-                    auto.digest, seq.digest,
-                    "crossover (auto) state diverged at n0={}",
-                    sc.n0
-                );
-                let auto_ops_s = auto.measured_ops as f64 / auto.wall_s;
-                let _ = writeln!(
-                    json,
-                    "      ,\"crossover_auto\": {{\"ops_per_sec\": {:.0}, \"wall_s\": {:.3}, \"speedup_vs_seq\": {:.3}, \"crossover_steps\": {}, \"crossover_batches\": {}, \"crossover_ops\": {}, \"waved_ops\": {}}}",
-                    auto_ops_s,
-                    auto.wall_s,
-                    auto_ops_s / seq_ops_s,
-                    auto.crossover_steps,
-                    auto.stats.crossover_batches,
-                    auto.stats.crossover_ops,
-                    auto.stats.waved_ops
-                );
-                println!(
-                    "n0={:<9} auto  {:>10.0} ops/s  (adaptive crossover, {:.2}x vs seq; {} batches routed seq / {} ops, {} waved ops kept by probes)",
-                    sc.n0,
-                    auto_ops_s,
-                    auto_ops_s / seq_ops_s,
-                    auto.stats.crossover_batches,
-                    auto.stats.crossover_ops,
-                    auto.stats.waved_ops
-                );
-            }
-        }
         let _ = writeln!(
             json,
             "    }}{}",

@@ -14,8 +14,7 @@
 //! `--exec-threads` value — CI runs 1/3/8 and diffs the files. `--type2`
 //! drives a type-2-heavy schedule (batch growth through an inflation,
 //! then batch shrink through a deflation) so the pooled rebuild fan-out
-//! is exercised and parity-checked. `--threads` is a deprecated alias of
-//! `--exec-threads`.
+//! is exercised and parity-checked.
 
 use dex_bench::alloc::{allocated_bytes, CountingAlloc};
 use dex_bench::batch::{run_batch_bench, BatchBenchOptions};
@@ -34,7 +33,7 @@ fn main() {
         match a.as_str() {
             "--smoke" => opts.smoke = true,
             "--type2" => opts.type2 = true,
-            "--exec-threads" | "--threads" => {
+            "--exec-threads" => {
                 opts.threads = it
                     .next()
                     .and_then(|v| v.parse().ok())

@@ -2,7 +2,7 @@
 //! protocol under message loss, latency skew, and partitions, emitted to
 //! `BENCH_faults.json`.
 //!
-//! Six sections:
+//! Five sections:
 //!
 //! * `percolation` — engine-level delivery curve: many walk and route
 //!   operations on a frozen bootstrap topology, swept over the loss grid
@@ -19,9 +19,6 @@
 //! * `type2_degradation` — inflate/deflate coordination curve: insert-
 //!   heavy growth forces type-2 rebuilds whose coordination rolls back
 //!   and re-initiates under loss (rollback rate per attempt);
-//! * `wave_vs_sequential` — waved vs sequential rounds-to-heal for
-//!   identical batch scripts under 35% loss, with the bit-identity of
-//!   the healed networks asserted;
 //! * `attacks` — two scenario-engine attack families (flash crowd,
 //!   partition-then-heal) re-run under loss with full structural
 //!   invariant checks after every step.
@@ -67,7 +64,7 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => args.smoke = true,
-            "--exec-threads" | "--threads" => {
+            "--exec-threads" => {
                 args.threads = it
                     .next()
                     .and_then(|v| v.parse().ok())
@@ -127,7 +124,7 @@ fn fault_stats_json(fs: &FaultStats) -> String {
          \"lost_partition\": {}, \"timeouts\": {}, \"reinitiations\": {}, \"walks_lost\": {}, \
          \"routes_lost\": {}, \"heal_fallbacks\": {}, \"dht_abandoned\": {}, \
          \"flood_retries\": {}, \"floods_partial\": {}, \"type2_rollbacks\": {}, \
-         \"type2_reinitiations\": {}, \"wave_replans\": {}, \
+         \"type2_reinitiations\": {}, \
          \"delivery_rate\": {:.6}}}",
         fs.sent,
         fs.delivered,
@@ -144,7 +141,6 @@ fn fault_stats_json(fs: &FaultStats) -> String {
         fs.floods_partial,
         fs.type2_rollbacks,
         fs.type2_reinitiations,
-        fs.wave_replans,
         fs.delivery_rate(),
     )
 }
@@ -361,84 +357,6 @@ fn type2_point(loss: u32, seed: u64, smoke: bool, threads: usize) -> String {
     )
 }
 
-/// Waved vs sequential rounds-to-heal under 35% loss: identical batch
-/// scripts through the conflict-graph wave engine and the sequential
-/// baseline. The wave engine plans every walk on the message schedule,
-/// so its charged rounds/messages — and the healed network — must be
-/// *identical* to the sequential path's; the row records both sides plus
-/// the bit-identity check so a regression shows up as a diff.
-fn wave_point(seed: u64, smoke: bool, threads: usize) -> String {
-    let loss = 350u32;
-    let n0: u64 = if smoke { 48 } else { 256 };
-    let batches = if smoke { 3 } else { 8 };
-    let k = if smoke { 10 } else { 24 };
-    let spec = spec_for(loss, seed);
-    let cfg = DexConfig::new(splitmix64(seed ^ 0x3a7e)).simplified();
-    let mut waved = DexNetwork::bootstrap(cfg, n0);
-    let mut seq = DexNetwork::bootstrap(cfg, n0);
-    waved.set_heal_threads(threads);
-    waved.set_faults(Some(spec));
-    seq.set_faults(Some(spec));
-    let mut live = waved.node_ids();
-    let mut next = live.iter().map(|u| u.0).max().unwrap_or(0) + 1;
-    let (mut wr, mut sr, mut wm, mut sm) = (0u64, 0u64, 0u64, 0u64);
-    for b in 0..batches {
-        // Insert wave: k fresh nodes on distinct-ish attach points.
-        let joins: Vec<(NodeId, NodeId)> = (0..k)
-            .map(|i| {
-                let attach = live[(splitmix64(seed ^ 0xba7c ^ ((b * 64 + i) as u64))
-                    % live.len() as u64) as usize];
-                let u = NodeId(next);
-                next += 1;
-                (u, attach)
-            })
-            .collect();
-        let a = waved.insert_batch(&joins);
-        let c = seq.insert_batch_seq(&joins);
-        (wr, wm) = (wr + a.rounds, wm + a.messages);
-        (sr, sm) = (sr + c.rounds, sm + c.messages);
-        live.extend(joins.iter().map(|&(u, _)| u));
-        // Delete wave: k distinct victims.
-        let mut victims: Vec<NodeId> = Vec::with_capacity(k);
-        let mut draw = 0u64;
-        while victims.len() < k {
-            // The draw nonce advances on duplicates too, so the rejection
-            // loop always makes progress.
-            let v = live[(splitmix64(seed ^ 0xde1e ^ (b as u64 * 1024 + draw) ^ wr)
-                % live.len() as u64) as usize];
-            draw += 1;
-            if !victims.contains(&v) {
-                victims.push(v);
-            }
-        }
-        live.retain(|u| !victims.contains(u));
-        let a = waved.delete_batch(&victims);
-        let c = seq.delete_batch_seq(&victims);
-        (wr, wm) = (wr + a.rounds, wm + a.messages);
-        (sr, sm) = (sr + c.rounds, sm + c.messages);
-        invariants::assert_ok(&waved);
-        invariants::assert_ok(&seq);
-    }
-    assert_eq!(
-        waved.map.entries_sorted(),
-        seq.map.entries_sorted(),
-        "waved batch diverged from sequential under loss"
-    );
-    assert!(
-        waved.batch_stats.waved_ops > 0,
-        "wave engine disengaged under the fault spec"
-    );
-    format!(
-        "{{\"loss_milli\": {loss}, \"batches\": {batches}, \"batch_size\": {k}, \
-         \"waved_rounds\": {wr}, \"seq_rounds\": {sr}, \
-         \"waved_messages\": {wm}, \"seq_messages\": {sm}, \
-         \"waved_ops\": {}, \"wave_replans\": {}, \"bit_identical\": {}}}",
-        waved.batch_stats.waved_ops,
-        waved.fault_stats().wave_replans,
-        waved.map.entries_sorted() == seq.map.entries_sorted(),
-    )
-}
-
 /// One attack family re-run under loss with full invariant checking.
 fn attack_point(name: &str, sc: &Scenario, opts: &RunOptions) -> String {
     let reports = run_trials(sc, opts);
@@ -493,10 +411,7 @@ fn main() {
         // Sample λ₂ only at the endpoints: the curve wants "gap before vs
         // after the campaign", not a trajectory.
         lambda_every: 1 << 30,
-        exec: None,
-        threads: args.threads,
-        heal_threads: 1,
-        adaptive_crossover: false,
+        exec: ExecConfig::with_threads(args.threads),
         check_invariants: args.smoke,
         keep_actions: false,
         keep_step_metrics: false,
@@ -593,18 +508,7 @@ fn main() {
     }
     let _ = writeln!(json, "  ],");
 
-    // ---- Section 5: waved vs sequential healing under loss --------------
-    {
-        let t0 = std::time::Instant::now();
-        let point = wave_point(args.seed, args.smoke, args.threads);
-        println!(
-            "wave-vs-seq loss  350  ({:.2}s)",
-            t0.elapsed().as_secs_f64()
-        );
-        let _ = writeln!(json, "  \"wave_vs_sequential\": {point},");
-    }
-
-    // ---- Section 6: attack families under loss, invariants on -----------
+    // ---- Section 5: attack families under loss, invariants on -----------
     let attack_loss = 350;
     let attack_opts = RunOptions {
         check_invariants: true,

@@ -2,8 +2,10 @@
 //! benches: comparable churn schedules, overlay drivers, and plain-text
 //! table formatting.
 //!
-//! Every table and figure of the paper maps to one binary here — see
-//! DESIGN.md §4 for the index and EXPERIMENTS.md for recorded outcomes.
+//! Every table and figure of the paper maps to one binary here: each
+//! binary's doc header names the table, figure or experiment (E1–E8) it
+//! reproduces, and the run prints the expected outcome next to the
+//! measured one.
 
 use dex::prelude::*;
 use rand::rngs::StdRng;

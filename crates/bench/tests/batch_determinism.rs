@@ -1,7 +1,7 @@
 //! `bench_batch --smoke` must be byte-identical across planner thread
 //! counts: the wave engine's results are bit-identical for any `threads`
 //! value and nothing in the smoke JSON depends on timing or allocation,
-//! so `--threads 1`, `3`, and `8` must produce the same file to the byte
+//! so `--exec-threads 1`, `3`, and `8` must produce the same file to the byte
 //! (CI also diffs the actual binary outputs).
 
 use dex_bench::batch::{run_batch_bench, BatchBenchOptions};
@@ -40,7 +40,7 @@ fn smoke_output_is_byte_identical_across_thread_counts() {
         let other = smoke_json(threads);
         assert_eq!(
             one, other,
-            "bench_batch --smoke output differs between --threads 1 and --threads {threads}"
+            "bench_batch --smoke output differs between --exec-threads 1 and --exec-threads {threads}"
         );
     }
 }
@@ -61,7 +61,7 @@ fn type2_smoke_output_is_byte_identical_across_thread_counts() {
         let other = type2_json(threads);
         assert_eq!(
             one, other,
-            "bench_batch --type2 output differs between --threads 1 and --threads {threads}"
+            "bench_batch --type2 output differs between --exec-threads 1 and --exec-threads {threads}"
         );
     }
 }

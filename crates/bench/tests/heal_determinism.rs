@@ -1,6 +1,6 @@
 //! `bench_heal --smoke` must be byte-identical across thread counts: the
 //! churn trials fan out over the order-preserving `par_map` and nothing in
-//! the smoke JSON depends on timing, so `--threads 1`, `3`, and `8` must
+//! the smoke JSON depends on timing, so `--exec-threads 1`, `3`, and `8` must
 //! produce the same file to the byte.
 //!
 //! The test installs the same counting allocator (`dex_bench::alloc`) the
@@ -41,7 +41,7 @@ fn smoke_output_is_byte_identical_across_thread_counts() {
         let other = smoke_json(threads);
         assert_eq!(
             one, other,
-            "bench_heal --smoke output differs between --threads 1 and --threads {threads}"
+            "bench_heal --smoke output differs between --exec-threads 1 and --exec-threads {threads}"
         );
     }
 }

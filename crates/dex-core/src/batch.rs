@@ -8,13 +8,14 @@
 //! Recovery may lean on the simplified type-2 procedures every O(1) steps,
 //! for O(n log² n) messages and O(log³ n) rounds per batch.
 //!
-//! Implementation: the batch shares one step scope. Batches of at least
-//! [`crate::parheal::PAR_BATCH_MIN`] ops are applied by the deterministic
-//! **parallel wave engine** ([`crate::parheal`]): ops are speculatively
-//! planned, partitioned into conflict-free waves over their touch sets,
-//! and committed in canonical order — bit-identical to sequential
-//! application for any thread count. Smaller batches, and any op whose
-//! heal leaves the type-1 fast path (walk miss, type-2 trigger), run
+//! Implementation: the batch shares one step scope. Without a fault spec,
+//! batches of at least [`crate::parheal::PAR_BATCH_MIN`] ops are applied
+//! by the deterministic **parallel wave engine** ([`crate::parheal`]): ops
+//! are speculatively planned, partitioned into conflict-free waves over
+//! their touch sets, and committed in canonical order — bit-identical to
+//! sequential application for any thread count. Smaller batches, every
+//! batch while a fault spec is installed (zero spec included), and any op
+//! whose heal leaves the type-1 fast path (walk miss, type-2 trigger) run
 //! through the sequential per-op machinery below, which also survives as
 //! [`DexNetwork::insert_batch_seq`] / [`DexNetwork::delete_batch_seq`] —
 //! the differential oracle (`tests/batch_par.rs`) and the `bench_batch`
@@ -33,8 +34,9 @@ pub const MAX_ATTACH_FAN_IN: usize = 8;
 impl DexNetwork {
     /// Insert a batch of `(new_node, attach_to)` pairs in one adversarial
     /// step, healed by the parallel wave engine (sequentially below
-    /// [`PAR_BATCH_MIN`] ops). Requires simplified mode (the staggered
-    /// machinery assumes one event per step, as in the paper).
+    /// [`PAR_BATCH_MIN`] ops or under a fault spec). Requires simplified
+    /// mode (the staggered machinery assumes one event per step, as in the
+    /// paper).
     ///
     /// # Panics
     /// Panics on duplicate ids, missing attach points, or more than O(1)
@@ -43,10 +45,7 @@ impl DexNetwork {
         self.validate_insert_batch(joins);
         self.step_no += 1;
         self.net.begin_step();
-        // Under a fault spec the engine plans every walk on the message
-        // schedule (read-only, bit-identical to the faulted sequential
-        // path), so faulted batches keep their conflict-graph waves.
-        let used_type2 = if joins.len() >= PAR_BATCH_MIN && !self.crossover_to_seq(joins.len()) {
+        let used_type2 = if self.wave_eligible(joins.len()) {
             let mut ops = std::mem::take(&mut self.heal.par.ops);
             ops.clear();
             ops.extend(joins.iter().map(|&(u, v)| BatchOp::Insert { u, v }));
@@ -84,27 +83,11 @@ impl DexNetwork {
         )
     }
 
-    /// Consult the adaptive small-n crossover controller (when enabled)
-    /// for a wave-eligible batch of `ops` ops: `true` routes the batch to
-    /// the sequential path, recording the decision in the step's
-    /// [`StepMetrics::crossover`] flag and the engine stats. The decision
-    /// is a deterministic function of `(n, waved-batch history)` — never
-    /// of the thread count — so either route stays bit-identical across
-    /// threads (and both routes produce identical state by the engine's
-    /// standing contract).
-    fn crossover_to_seq(&mut self, ops: usize) -> bool {
-        if !self.adaptive_crossover {
-            return false;
-        }
-        let n = self.n();
-        if self.heal.par.crossover_route_seq(n) {
-            self.net.note_crossover();
-            self.batch_stats.crossover_batches += 1;
-            self.batch_stats.crossover_ops += ops as u64;
-            true
-        } else {
-            false
-        }
+    /// Does a batch of `ops` ops go through the wave engine? Only fault-free
+    /// batches of at least [`PAR_BATCH_MIN`] ops do; the rest heal through
+    /// the sequential path (identical results either way).
+    fn wave_eligible(&self, ops: usize) -> bool {
+        ops >= PAR_BATCH_MIN && self.faults.is_none()
     }
 
     /// Validate the whole batch before touching any state: fan-in per
@@ -157,15 +140,15 @@ impl DexNetwork {
     }
 
     /// Delete a batch of victims in one adversarial step, healed by the
-    /// parallel wave engine (sequentially below [`PAR_BATCH_MIN`] ops).
+    /// parallel wave engine (sequentially below [`PAR_BATCH_MIN`] ops or
+    /// under a fault spec).
     /// The remainder graph must stay connected (checked after healing,
     /// which restores the contraction fabric and hence connectivity).
     pub fn delete_batch(&mut self, victims: &[NodeId]) -> StepMetrics {
         self.validate_delete_batch(victims);
         self.step_no += 1;
         self.net.begin_step();
-        let used_type2 = if victims.len() >= PAR_BATCH_MIN && !self.crossover_to_seq(victims.len())
-        {
+        let used_type2 = if self.wave_eligible(victims.len()) {
             let mut ops = std::mem::take(&mut self.heal.par.ops);
             ops.clear();
             ops.extend(victims.iter().map(|&victim| BatchOp::Delete { victim }));

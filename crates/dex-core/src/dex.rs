@@ -62,11 +62,6 @@ pub struct DexNetwork {
     /// inline). Results are bit-identical for every value — see
     /// [`crate::parheal`].
     pub(crate) heal_threads: usize,
-    /// Adaptive small-n crossover: when enabled, wave-eligible batches may
-    /// be routed to the sequential heal path by a deterministic controller
-    /// keyed on n and the observed replan rate (see [`crate::parheal`]).
-    /// Off by default so differential tests always exercise the engine.
-    pub(crate) adaptive_crossover: bool,
     /// Waved batch-heal statistics (waves, serial fallbacks, wave-size
     /// histogram), accumulated across batch steps.
     pub batch_stats: crate::parheal::BatchHealStats,
@@ -114,7 +109,6 @@ impl DexNetwork {
             flood_scratch: FloodScratch::new(),
             heal: HealScratch::new(),
             heal_threads: 1,
-            adaptive_crossover: false,
             batch_stats: crate::parheal::BatchHealStats::default(),
             faults: None,
             fault_stats: dex_sim::msim::FaultStats::default(),
@@ -132,22 +126,6 @@ impl DexNetwork {
     /// Current batch-heal planner thread count.
     pub fn heal_threads(&self) -> usize {
         self.heal_threads
-    }
-
-    /// Enable/disable the adaptive small-n crossover: a deterministic
-    /// per-network controller (keyed on n and the observed replan-rate
-    /// EMA, with a fixed probe schedule) that routes small/cache-resident
-    /// batches to the sequential heal path where waved planning is pure
-    /// overhead. The decision is recorded in [`dex_sim::StepMetrics`]'s
-    /// `crossover` flag; either route yields bit-identical state for any
-    /// thread count. Off by default.
-    pub fn set_adaptive_crossover(&mut self, enabled: bool) {
-        self.adaptive_crossover = enabled;
-    }
-
-    /// Is the adaptive small-n crossover enabled?
-    pub fn adaptive_crossover(&self) -> bool {
-        self.adaptive_crossover
     }
 
     /// Current network size.

@@ -10,8 +10,9 @@
 //! When the virtual graph is replaced (type-2 recovery), responsibility
 //! rehashes to the new cycle. The paper staggers the data handoff with the
 //! staggered inflation at a constant-factor overhead; we apply the whole
-//! migration at switchover and charge one message per stored item then
-//! (the same total cost, lumped — see DESIGN.md).
+//! migration at switchover and charge one message per stored item then:
+//! the same total cost as the staggered handoff of the paper's
+//! Sect. 4.4.4, lumped into the switchover step.
 
 use crate::dex::DexNetwork;
 use dex_graph::fxhash::FxHashMap;

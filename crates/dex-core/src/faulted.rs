@@ -50,6 +50,11 @@
 //! in-rebuild traffic models (permutation routing, phase-2 rebalance
 //! walks) stay analytical/centralized — they run after the commit point
 //! on charged cost models.
+//!
+//! Batches heal op by op on this path: with a spec installed,
+//! `insert_batch`/`delete_batch` bypass the wave engine
+//! ([`crate::parheal`]) and run exactly what `insert_batch_seq`/
+//! `delete_batch_seq` run.
 
 use crate::config::RecoveryMode;
 use crate::dex::DexNetwork;
@@ -72,8 +77,8 @@ const FLOOD_WORD: u64 = 0x464c_4f4f_4400;
 const TYPE2_WORD: u64 = 0x5459_5045_3200;
 
 /// Deterministic op key: a splitmix64 chain of `seed ^ word` over the
-/// context words. Shared by the live heal paths and the wave planner so
-/// both derive identical fault draws for the same operation.
+/// context words, so every run derives identical fault draws for the
+/// same operation.
 fn op_key_for(seed: u64, word: u64, ctx: &[u64]) -> u64 {
     let mut acc = splitmix64(seed ^ word);
     for &w in ctx {
@@ -741,69 +746,6 @@ impl DexNetwork {
         }
         delivered
     }
-}
-
-/// Read-only replay of [`DexNetwork::walk_faulted`] for the wave
-/// planner: identical op key, RNG streams, and engine schedule, run
-/// against an [`msim::AdjView`] (the live graph, or a plan overlay
-/// carrying pending in-batch edits) without charging the network. The
-/// engine is thread-count invariant, so this single-threaded plan-time
-/// run returns bit-for-bit the outcome and report the sequential heal
-/// would observe; the caller records the charge in its plan and applies
-/// it at commit. `traces` receives the walk's arrival slots — the
-/// plan's read set.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_walk_faulted<V, A>(
-    dex: &DexNetwork,
-    view: &V,
-    start: NodeId,
-    exclude: Option<NodeId>,
-    accept: A,
-    purpose: Purpose,
-    ctx: &[u64],
-    traces: &mut Vec<Vec<u32>>,
-) -> (FaultedWalk, msim::RunReport)
-where
-    V: msim::AdjView + ?Sized,
-    A: Fn(NodeId) -> bool + Sync,
-{
-    let spec = dex.faults.expect("plan_walk_faulted without a fault spec");
-    let walk_len = dex.cfg.walk_len(dex.cycle.p());
-    let ops = [WalkOp {
-        start,
-        max_len: walk_len,
-        exclude,
-        op_key: op_key_for(spec.seed, RETRY_WORD, ctx),
-    }];
-    let seeds = &dex.seeds;
-    let mk_rng = |_: usize, retry: u32| {
-        if retry == 0 {
-            seeds.stream(purpose, ctx)
-        } else {
-            let mut ext = Vec::with_capacity(ctx.len() + 1);
-            ext.extend_from_slice(ctx);
-            ext.push(RETRY_WORD | retry as u64);
-            seeds.stream(purpose, &ext)
-        }
-    };
-    let (results, report) = msim::run_walks_traced(
-        dex.net.graph(),
-        view,
-        &spec,
-        &ops,
-        accept,
-        mk_rng,
-        1,
-        Some(traces),
-    );
-    let r = &results[0];
-    (
-        FaultedWalk {
-            hit: r.hit,
-            lost: r.status == OpStatus::Lost,
-        },
-        report,
-    )
 }
 
 #[cfg(test)]

@@ -81,13 +81,17 @@
 //! The sequential entry points survive as
 //! [`DexNetwork::insert_batch_seq`]/[`DexNetwork::delete_batch_seq`] — the
 //! differential oracle for tests and the baseline for `bench_batch`.
+//!
+//! The engine plans against the centralized fast path only. While a fault
+//! spec is installed, `insert_batch`/`delete_batch` never enter it: the
+//! batch heals op by op through the sequential path, whose walks run on
+//! the message schedule ([`crate::faulted`]).
 
 use crate::dex::DexNetwork;
 use crate::fabric;
 use dex_graph::adjacency::MultiGraph;
 use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::walks::{run_interleaved, WalkLane};
-use dex_sim::msim::{AdjView, FaultStats};
 use dex_sim::rng::Purpose;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -144,11 +148,10 @@ pub struct BatchHealStats {
     pub serial_ns: u64,
     /// Log₂ histogram of committed wave sizes.
     pub wave_hist: [u64; WAVE_HIST_BUCKETS],
-    /// Batches the adaptive small-n crossover routed to the sequential
-    /// path (never entered the wave engine).
+    /// Always 0: the adaptive crossover controller that counted batches
+    /// routed around the engine is gone. Kept only because the frozen
+    /// benchmark reads it; drop it with the next benchmark revision.
     pub crossover_batches: u64,
-    /// Ops inside crossover-routed batches.
-    pub crossover_ops: u64,
 }
 
 impl BatchHealStats {
@@ -194,22 +197,6 @@ enum OpPlan {
     Delete(DeletePlan),
 }
 
-/// The walk-phase cost a faulted plan replayed on the message schedule:
-/// charged at commit in place of the centralized hops-based charges.
-/// `None` on centrally-planned (no fault spec) plans.
-#[cfg_attr(test, derive(Debug, PartialEq))]
-#[derive(Default)]
-struct FaultedCharge {
-    /// Engine makespans summed over the op's walk attempts.
-    rounds: u64,
-    /// Engine sends summed over the op's walk attempts.
-    messages: u64,
-    /// `walk_stats.attempts` consumed (lost generations re-attempt).
-    attempts: u64,
-    /// Fault-layer counters accumulated by the replayed walks.
-    stats: FaultStats,
-}
-
 /// Planned insert: walk outcome, donated vertex, and the fabric edit as a
 /// pre-resolved slot program (≤ 3 instances; the newcomer's side of a
 /// re-add is [`NEW_SLOT`]).
@@ -229,8 +216,6 @@ struct InsertPlan {
     n_inst: u8,
     reads: Vec<u32>,
     writes: Vec<u32>,
-    /// Simulated walk charge when planned under a fault spec.
-    faulted: Option<Box<FaultedCharge>>,
 }
 
 /// Planned delete: rescuer election, one planned walk outcome per adopted
@@ -251,8 +236,6 @@ struct DeletePlan {
     move_insts: Vec<u8>,
     reads: Vec<u32>,
     writes: Vec<u32>,
-    /// Simulated walk charge when planned under a fault spec.
-    faulted: Option<Box<FaultedCharge>>,
 }
 
 impl OpPlan {
@@ -401,9 +384,6 @@ pub(crate) struct PlanScratch {
     insts: Vec<(VertexId, VertexId)>,
     /// Victim adjacency snapshot for overlay node removal.
     incident: Vec<u32>,
-    /// Arrival-slot traces of the faulted planner's simulated walks
-    /// (reused across attempts; contents drained into plan read sets).
-    traces: Vec<Vec<u32>>,
     /// Plan-buffer free-lists.
     pool: BufPool,
 }
@@ -628,22 +608,6 @@ impl Overlay {
     }
 }
 
-/// [`AdjView`] over a plan overlay: the faulted planner's simulated
-/// delete walks read adjacency through the pending in-batch edits while
-/// the real graph stays untouched (node identity still resolves through
-/// the base graph, per the trait contract).
-struct OverlayView<'a> {
-    g: &'a MultiGraph,
-    ov: &'a Overlay,
-}
-
-impl AdjView for OverlayView<'_> {
-    #[inline]
-    fn view_neighbor_slots(&self, slot: u32) -> &[u32] {
-        self.ov.adj(self.g, slot)
-    }
-}
-
 // ======================================================================
 // Engine state pooled on the network
 // ======================================================================
@@ -664,59 +628,6 @@ pub(crate) struct ParScratch {
     /// waves in front of them are never computed). Deterministic — a pure
     /// function of the committed wave history.
     wave_ema: usize,
-    /// Small-n batches seen by the crossover controller (drives the
-    /// deterministic probe schedule).
-    small_batches: u64,
-    /// EMA of replans per planned op, in milli-replans (integer — the
-    /// controller must be bit-deterministic). Updated after every waved
-    /// batch; a pure function of the waved-batch history.
-    replan_ema_milli: u64,
-    /// Whether `replan_ema_milli` has been seeded by a first observation.
-    ema_seeded: bool,
-}
-
-/// Network size above which the crossover controller always waves: beyond
-/// cache-resident state, planning is profitable regardless of conflicts.
-pub const CROSSOVER_N_MAX: usize = 32_768;
-
-/// Replan-rate threshold (milli-replans per planned op) above which a
-/// small-n batch is routed to the sequential path. PR 4 measured ~0.35
-/// replans/op at n≈20k (overlapping touch sets) vs ~0.05 at 200k+.
-const CROSSOVER_REPLAN_MILLI: u64 = 150;
-
-/// Every `PROBE`-th small-n batch runs waved regardless, keeping the
-/// replan EMA fresh so the controller can exit the sequential regime when
-/// the conflict profile changes. Deterministic: a pure function of the
-/// batch count.
-const CROSSOVER_PROBE_PERIOD: u64 = 16;
-
-impl ParScratch {
-    /// Adaptive small-n crossover: should this batch skip the wave engine
-    /// and run through the sequential path? Keyed on the live network
-    /// size and the observed replan rate (speculation-waste EMA), with a
-    /// deterministic probe schedule — a pure function of `(n, waved-batch
-    /// history)`, so the decision is identical for every thread count.
-    pub(crate) fn crossover_route_seq(&mut self, n: usize) -> bool {
-        if n >= CROSSOVER_N_MAX {
-            return false;
-        }
-        self.small_batches += 1;
-        if !self.ema_seeded || (self.small_batches - 1).is_multiple_of(CROSSOVER_PROBE_PERIOD) {
-            return false; // probe: keep the EMA fresh
-        }
-        self.replan_ema_milli >= CROSSOVER_REPLAN_MILLI
-    }
-
-    /// Fold one waved batch's observed replan rate into the EMA.
-    fn observe_replans(&mut self, replans: u64, ops: usize) {
-        let milli = replans * 1000 / ops.max(1) as u64;
-        if self.ema_seeded {
-            self.replan_ema_milli = (3 * self.replan_ema_milli + milli) / 4;
-        } else {
-            self.replan_ema_milli = milli;
-            self.ema_seeded = true;
-        }
-    }
 }
 
 // ======================================================================
@@ -925,7 +836,7 @@ fn plan_chunk_interleaved(
         *slot = match ops[first + off] {
             BatchOp::Insert { .. } => {
                 let l = lane.next().expect("one lane per stale insert");
-                plan_insert_finish(dex, l.hit, l.hops, l.reads, None, ps)
+                plan_insert_finish(dex, l.hit, l.hops, l.reads, ps)
             }
             BatchOp::Delete { victim } => plan_delete(dex, victim, walk_len, ps),
         };
@@ -968,7 +879,7 @@ fn plan_insert(
             break;
         }
     }
-    plan_insert_finish(dex, hit, hops, reads, None, scratch)
+    plan_insert_finish(dex, hit, hops, reads, scratch)
 }
 
 /// Resolve a planned insert's fabric edit from its walk outcome:
@@ -981,7 +892,6 @@ fn plan_insert_finish(
     hit: Option<u32>,
     hops: u64,
     reads: Vec<u32>,
-    faulted: Option<Box<FaultedCharge>>,
     scratch: &mut PlanScratch,
 ) -> OpPlan {
     let g = dex.net.graph();
@@ -1039,7 +949,6 @@ fn plan_insert_finish(
         n_inst: n_inst as u8,
         reads,
         writes,
-        faulted,
     })
 }
 
@@ -1192,255 +1101,6 @@ fn plan_delete(
         move_insts,
         reads,
         writes,
-        faulted: None,
-    })
-}
-
-// ======================================================================
-// Faulted planning (a FaultSpec is installed)
-// ======================================================================
-
-/// Plan one chunk of ops under a fault spec: each walk is replayed on
-/// the message-level simulator (read-only, single-engine-thread — the
-/// engine is thread-count invariant) exactly as the faulted sequential
-/// heal would run it, so a committed wave is bit-identical to sequential
-/// faulted application. Ops whose heal leaves the walk fast path (a
-/// protocol miss → flood, a lost-walk fallback, retry exhaustion) come
-/// back [`OpPlan::Serial`] and run through the untouched faulted
-/// sequential code at the head of the queue.
-fn plan_chunk_faulted(
-    dex: &DexNetwork,
-    ops: &[BatchOp],
-    first: usize,
-    chunk: &mut [OpPlan],
-    ps: &mut PlanScratch,
-) {
-    for (off, slot) in chunk.iter_mut().enumerate() {
-        if matches!(slot, OpPlan::Stale) {
-            *slot = match ops[first + off] {
-                BatchOp::Insert { u, v } => plan_insert_faulted(dex, u, v, ps),
-                BatchOp::Delete { victim } => plan_delete_faulted(dex, victim, ps),
-            };
-        }
-    }
-}
-
-/// Faulted mirror of [`plan_insert`]: replay `heal_one_insert_faulted`'s
-/// attempt loop on the schedule. Waveable iff an attempt hits before the
-/// lost-walk budget or a protocol miss forces the flood path.
-fn plan_insert_faulted(
-    dex: &DexNetwork,
-    u: NodeId,
-    v: NodeId,
-    scratch: &mut PlanScratch,
-) -> OpPlan {
-    let g = dex.net.graph();
-    let Some(start) = g.slot_of(v) else {
-        // Chained join: the attach point is an earlier newcomer of this
-        // batch that has not committed yet.
-        return OpPlan::Blocked;
-    };
-    let spec = dex.faults.expect("faulted planning without a fault spec");
-    let mut reads: Vec<u32> = scratch.pool.get_u32();
-    reads.push(start);
-    let mut charge = Box::new(FaultedCharge::default());
-    let mut lost = 0u32;
-    let mut hit_slot = None;
-    for attempt in 0..dex.cfg.max_walk_retries {
-        charge.attempts += 1;
-        let map = &dex.map;
-        let (out, report) = crate::faulted::plan_walk_faulted(
-            dex,
-            g,
-            v,
-            Some(u),
-            |w| map.is_spare(w),
-            Purpose::InsertWalk,
-            &[dex.step_no, u.0, attempt],
-            &mut scratch.traces,
-        );
-        charge.rounds += report.makespan;
-        charge.messages += report.messages;
-        charge.stats.merge(&report.stats);
-        reads.extend_from_slice(&scratch.traces[0]);
-        if let Some(w) = out.hit {
-            hit_slot = Some(g.slot_of(w).expect("hit node is live"));
-            break;
-        }
-        if out.lost {
-            lost += 1;
-            if lost > spec.fallback_after {
-                // Lost-walk fallback ⇒ flood: whole-state reads.
-                return OpPlan::Serial { touch: reads };
-            }
-            continue;
-        }
-        // Protocol miss ⇒ flood ⇒ possibly type-2.
-        return OpPlan::Serial { touch: reads };
-    }
-    // Retry exhaustion panics in the sequential path; route through it
-    // so the failure is identical.
-    plan_insert_finish(dex, hit_slot, 0, reads, Some(charge), scratch)
-}
-
-/// Faulted mirror of [`plan_delete`]: adoption and moves replay on the
-/// overlay exactly as before, but every redistribution walk runs on the
-/// message schedule *against the overlay* ([`OverlayView`]), replicating
-/// `heal_one_delete_core_faulted`'s attempt loop per vertex.
-fn plan_delete_faulted(dex: &DexNetwork, victim: NodeId, scratch: &mut PlanScratch) -> OpPlan {
-    let g = dex.net.graph();
-    let cycle = &dex.cycle;
-    let spec = dex.faults.expect("faulted planning without a fault spec");
-    let vslot = g.slot_of(victim).expect("victim validated live");
-    let mut reads: Vec<u32> = scratch.pool.get_u32();
-    let mut writes: Vec<u32> = scratch.pool.get_u32();
-    reads.push(vslot);
-
-    // Rescuer election, exactly as the sequential entry loop does it.
-    let nbrs = &mut scratch.nbrs;
-    nbrs.clear();
-    nbrs.extend(
-        g.neighbor_slots(vslot)
-            .iter()
-            .map(|&s| g.id_of_slot(s))
-            .filter(|&w| w != victim),
-    );
-    nbrs.sort_unstable();
-    nbrs.dedup();
-    if nbrs.is_empty() {
-        scratch.pool.put_u32(writes);
-        return OpPlan::Serial { touch: reads };
-    }
-    let rescuer = nbrs[0];
-
-    let zs = &mut scratch.zs;
-    zs.clear();
-    zs.extend_from_slice(dex.map.sim(victim));
-    let ov = &mut scratch.overlay;
-    ov.reset();
-    let mut prog: Vec<(u32, u32)> = scratch.pool.get_pairs();
-    let mut move_insts: Vec<u8> = scratch.pool.get_u8();
-
-    // adversary_remove_node(victim), then adoption — identical to the
-    // centralized planner (the faulted path shares this mutation code).
-    ov.remove_node(g, vslot, &mut scratch.incident, &mut writes);
-    for &z in zs.iter() {
-        ov.transfer(dex, z, rescuer, &mut writes);
-    }
-    fabric::incident_edges_into(cycle, zs, &mut scratch.insts);
-    for i in 0..scratch.insts.len() {
-        let (a, b) = scratch.insts[i];
-        let (ua, ub) = (ov.owner_of(dex, a), ov.owner_of(dex, b));
-        let (sa, sb) = (
-            g.slot_of(ua).expect("owner is live"),
-            g.slot_of(ub).expect("owner is live"),
-        );
-        ov.add_edge(g, sa, sb, &mut writes);
-        prog.push((sa, sb));
-    }
-    let adopt_n = prog.len() as u32;
-
-    let mut charge = Box::new(FaultedCharge::default());
-    let mut dests: Vec<NodeId> = scratch.pool.get_nodes();
-    let mut hops_per: Vec<u64> = scratch.pool.get_u64();
-    let mut serial = false;
-    'vertices: for (i, &z) in zs.iter().enumerate() {
-        let mut attempt = 0u64;
-        let mut lost = 0u32;
-        let w = loop {
-            charge.attempts += 1;
-            let (out, report) = {
-                let view = OverlayView { g, ov };
-                let zeta = dex.cfg.zeta;
-                let accept = |w: NodeId| {
-                    let l = view.ov.load(dex, w);
-                    l >= 1 && l <= 2 * zeta
-                };
-                crate::faulted::plan_walk_faulted(
-                    dex,
-                    &view,
-                    rescuer,
-                    None,
-                    accept,
-                    Purpose::DeleteWalk,
-                    &[dex.step_no, victim.0, i as u64, attempt],
-                    &mut scratch.traces,
-                )
-            };
-            charge.rounds += report.makespan;
-            charge.messages += report.messages;
-            charge.stats.merge(&report.stats);
-            reads.extend_from_slice(&scratch.traces[0]);
-            if let Some(w) = out.hit {
-                break w;
-            }
-            if out.lost {
-                lost += 1;
-                if lost > spec.fallback_after {
-                    // Lost-walk fallback ⇒ flood: sequential territory.
-                    serial = true;
-                    break 'vertices;
-                }
-            } else {
-                // Protocol miss ⇒ flood ⇒ possibly deflate.
-                serial = true;
-                break 'vertices;
-            }
-            attempt += 1;
-            if attempt >= dex.cfg.max_walk_retries {
-                // The sequential path asserts here; route through it so
-                // the failure is identical.
-                serial = true;
-                break 'vertices;
-            }
-        };
-        if w != rescuer {
-            fabric::incident_edges_into(cycle, &[z], &mut scratch.insts);
-            move_insts.push(scratch.insts.len() as u8);
-            for i in 0..scratch.insts.len() {
-                let (a, b) = scratch.insts[i];
-                let (ua, ub) = (ov.owner_of(dex, a), ov.owner_of(dex, b));
-                let (sa, sb) = (
-                    g.slot_of(ua).expect("owner is live"),
-                    g.slot_of(ub).expect("owner is live"),
-                );
-                ov.remove_edge(g, sa, sb, &mut writes);
-                prog.push((sa, sb));
-            }
-            ov.transfer(dex, z, w, &mut writes);
-            for i in 0..scratch.insts.len() {
-                let (a, b) = scratch.insts[i];
-                let (ua, ub) = (ov.owner_of(dex, a), ov.owner_of(dex, b));
-                let (sa, sb) = (
-                    g.slot_of(ua).expect("owner is live"),
-                    g.slot_of(ub).expect("owner is live"),
-                );
-                ov.add_edge(g, sa, sb, &mut writes);
-                prog.push((sa, sb));
-            }
-        }
-        dests.push(w);
-        hops_per.push(0);
-    }
-    if serial {
-        reads.extend_from_slice(&writes);
-        scratch.pool.put_u32(writes);
-        scratch.pool.put_nodes(dests);
-        scratch.pool.put_u64(hops_per);
-        scratch.pool.put_u8(move_insts);
-        scratch.pool.put_pairs(prog);
-        return OpPlan::Serial { touch: reads };
-    }
-    OpPlan::Delete(DeletePlan {
-        rescuer,
-        dests,
-        hops: hops_per,
-        prog,
-        adopt_n,
-        move_insts,
-        reads,
-        writes,
-        faulted: Some(charge),
     })
 }
 
@@ -1494,18 +1154,9 @@ fn commit_insert(dex: &mut DexNetwork, u: NodeId, v: NodeId, plan: &InsertPlan) 
     let u_slot = dex.net.adversary_add_node_slot(u);
     dex.net.adversary_add_edge_slots(u_slot, plan.v_slot);
     dex.walk_stats.hits += 1;
-    if let Some(fc) = &plan.faulted {
-        // Walks ran on the message schedule at plan time: apply the
-        // recorded engine charge instead of the hops-based one.
-        dex.walk_stats.attempts += fc.attempts;
-        dex.net.charge_rounds(fc.rounds);
-        dex.net.charge_messages(fc.messages);
-        dex.fault_stats.merge(&fc.stats);
-    } else {
-        dex.walk_stats.attempts += 1;
-        dex.net.charge_rounds(plan.hops);
-        dex.net.charge_messages(plan.hops);
-    }
+    dex.walk_stats.attempts += 1;
+    dex.net.charge_rounds(plan.hops);
+    dex.net.charge_messages(plan.hops);
     // give_vertex_to_new_node, pre-resolved: move z's instances off the
     // old owners, transfer, re-add under the new owners.
     debug_assert!(dex.map.load(plan.hit) >= 2);
@@ -1574,25 +1225,13 @@ fn commit_delete(dex: &mut DexNetwork, victim: NodeId, plan: &DeletePlan) {
     }
     dex.net.charge_messages(3 * zs.len() as u64);
     dex.net.charge_rounds(1);
-    if let Some(fc) = &plan.faulted {
-        // Redistribution walks ran on the message schedule at plan time:
-        // one aggregate engine charge replaces the per-vertex hops ones
-        // (charges are additive within the step, so totals are exactly
-        // the faulted sequential path's).
-        dex.walk_stats.attempts += fc.attempts;
-        dex.net.charge_rounds(fc.rounds);
-        dex.net.charge_messages(fc.messages);
-        dex.fault_stats.merge(&fc.stats);
-    }
 
     let mut cursor = plan.adopt_n as usize;
     let mut mv = 0usize;
     for (i, &z) in zs.iter().enumerate() {
-        if plan.faulted.is_none() {
-            dex.walk_stats.attempts += 1;
-            dex.net.charge_rounds(plan.hops[i]);
-            dex.net.charge_messages(plan.hops[i]);
-        }
+        dex.walk_stats.attempts += 1;
+        dex.net.charge_rounds(plan.hops[i]);
+        dex.net.charge_messages(plan.hops[i]);
         dex.walk_stats.hits += 1;
         let w = plan.dests[i];
         if w != plan.rescuer {
@@ -1656,14 +1295,8 @@ fn run_sequential_op(dex: &mut DexNetwork, op: BatchOp) -> bool {
 pub(crate) fn run_batch(dex: &mut DexNetwork, threads: usize) -> bool {
     let mut state = std::mem::take(&mut dex.heal.par);
     let ops = std::mem::take(&mut state.ops);
+    debug_assert!(dex.faults.is_none(), "faulted batches heal sequentially");
     let mut used_type2 = false;
-    let replans_at_entry = dex.batch_stats.replans;
-    // Faulted batches plan on the message-level simulator; a replan
-    // under a *non-zero* spec is a planning walk invalidated by a
-    // committed wave (counted so zero-fault runs can assert none of the
-    // fault machinery engaged).
-    let faulted = dex.faults.is_some();
-    let faults_active = dex.faults.is_some_and(|s| !s.is_zero());
 
     state.plans.clear();
     state.plans.resize_with(ops.len(), || OpPlan::Stale);
@@ -1707,9 +1340,7 @@ pub(crate) fn run_batch(dex: &mut DexNetwork, threads: usize) -> bool {
             // Both produce bit-identical plans (differentially tested).
             let interleave = dex_graph::par::mlp_enabled();
             let plan_chunk = |start: usize, chunk: &mut [OpPlan], ps: &mut PlanScratch| {
-                if faulted {
-                    plan_chunk_faulted(dex_ref, ops_ref, base + start, chunk, ps);
-                } else if interleave {
+                if interleave {
                     plan_chunk_interleaved(dex_ref, ops_ref, base + start, walk_len, chunk, ps);
                 } else {
                     plan_chunk_scalar(dex_ref, ops_ref, base + start, walk_len, chunk, ps);
@@ -1771,9 +1402,6 @@ pub(crate) fn run_batch(dex: &mut DexNetwork, threads: usize) -> bool {
             for p in &mut state.plans[next..] {
                 if !matches!(p, OpPlan::Stale) {
                     dex.batch_stats.replans += 1;
-                    if faults_active {
-                        dex.fault_stats.wave_replans += 1;
-                    }
                     let old = std::mem::replace(p, OpPlan::Stale);
                     inline_scratch.pool.recycle(old);
                 }
@@ -1806,18 +1434,12 @@ pub(crate) fn run_batch(dex: &mut DexNetwork, threads: usize) -> bool {
         for p in &mut state.plans[next..] {
             if p.invalidated_by(&state.tracker) {
                 dex.batch_stats.replans += 1;
-                if faults_active {
-                    dex.fault_stats.wave_replans += 1;
-                }
                 let old = std::mem::replace(p, OpPlan::Stale);
                 inline_scratch.pool.recycle(old);
             }
         }
         dex.batch_stats.partition_ns += t_inval.elapsed().as_nanos() as u64;
     }
-
-    // Feed the crossover controller: replans per planned op this batch.
-    state.observe_replans(dex.batch_stats.replans - replans_at_entry, ops.len());
 
     // Reclaim every plan's buffers for the next batch.
     for plan in state.plans.drain(..) {
@@ -1851,7 +1473,6 @@ mod tests {
                     n_inst: 0,
                     reads,
                     writes,
-                    faulted: None,
                 })
             })
             .collect();
@@ -1964,47 +1585,6 @@ mod tests {
         // Out-of-range slots (created mid-batch) are never tracked.
         t.mark_write(100);
         assert!(!t.written(100));
-    }
-
-    #[test]
-    fn crossover_controller_probes_then_engages_on_high_replan_rate() {
-        let mut s = ParScratch::default();
-        // Large n never crosses over and never consumes the probe budget.
-        assert!(!s.crossover_route_seq(CROSSOVER_N_MAX));
-        assert!(!s.crossover_route_seq(1_000_000));
-        assert_eq!(s.small_batches, 0);
-        // First small-n batch is an unconditional probe (EMA unseeded).
-        assert!(!s.crossover_route_seq(20_000));
-        s.observe_replans(35, 100); // 0.35 replans/op — the 20k regime
-                                    // Now the controller engages the sequential route...
-        assert!(s.crossover_route_seq(20_000));
-        assert!(s.crossover_route_seq(20_000));
-        // ...but keeps probing on its deterministic schedule.
-        let mut probed = 0;
-        for _ in 0..CROSSOVER_PROBE_PERIOD {
-            if !s.crossover_route_seq(20_000) {
-                probed += 1;
-            }
-        }
-        assert_eq!(probed, 1, "exactly one probe per period");
-        // A calm conflict profile releases the crossover after the EMA
-        // decays below the threshold.
-        for _ in 0..8 {
-            s.observe_replans(0, 100);
-        }
-        assert!(s.replan_ema_milli < CROSSOVER_REPLAN_MILLI);
-        assert!(!s.crossover_route_seq(20_000));
-    }
-
-    #[test]
-    fn replan_ema_is_seeded_then_smoothed() {
-        let mut s = ParScratch::default();
-        s.observe_replans(100, 100); // seed at 1000 milli
-        assert_eq!(s.replan_ema_milli, 1000);
-        s.observe_replans(0, 100);
-        assert_eq!(s.replan_ema_milli, 750);
-        s.observe_replans(20, 10); // 2000 milli
-        assert_eq!(s.replan_ema_milli, (3 * 750 + 2000) / 4);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! Path computation memoizes one BFS tree per routing *target*. A full
 //! permutation has p distinct targets (O(p²) simulator work), so the
 //! one-shot type-2 procedures execute real routing up to
-//! [`EXACT_ROUTING_MAX_P`] and fall back to the analytical charge above it
-//! (DESIGN.md §5); the experiment harness validates the analytical model
-//! against the executed one in the overlap region.
+//! [`EXACT_ROUTING_MAX_P`] and fall back to the analytical charge above it;
+//! `exp_ablation` checks the analytical model against the executed one in
+//! the overlap region.
 
 use crate::mapping::VirtualMapping;
 use dex_graph::ids::{NodeId, VertexId};

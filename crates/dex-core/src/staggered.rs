@@ -19,7 +19,8 @@
 //! Because staging is keyed to *vertices* (not nodes), type-1 churn during
 //! an operation composes cleanly: a transferred vertex carries its staging
 //! obligations to its new owner, and intermediate edges follow the vertex
-//! they point at (DESIGN.md fidelity note 6).
+//! they point at, so a staged edge is never left on a node that no longer
+//! simulates its endpoint.
 //!
 //! Deflation additionally runs the *credit* protocol: every node is
 //! guaranteed one vertex of the smaller cycle (its reserve, marked

@@ -13,7 +13,8 @@
 //!   *executed* token-by-token on the old virtual graph with per-edge
 //!   congestion up to `p ≤` [`crate::routing::EXACT_ROUTING_MAX_P`]; above
 //!   that it is charged at the analytical cost (`O(p·log p)` messages,
-//!   `O(log p)` rounds) — see DESIGN.md §5;
+//!   `O(log p)` rounds), because exact routing memoizes one BFS tree per
+//!   target and so costs `O(p²)` simulator work (see [`crate::routing`]);
 //! * edge churn is the exact multiset difference between the old and new
 //!   contraction fabrics.
 

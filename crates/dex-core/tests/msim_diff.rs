@@ -8,9 +8,9 @@
 //! round and one message per hop.
 //!
 //! Random scripts mix single ops, wave-sized batches (≥ 8 ops engage the
-//! parallel wave engine in *both* worlds — the faulted subject plans its
-//! walks on the message schedule and stays waved), flood- and
-//! type-2-triggering churn, and DHT puts/gets. The subject runs at
+//! parallel wave engine in the oracle, while the faulted subject heals
+//! them op by op on the message schedule), flood- and type-2-triggering
+//! churn, and DHT puts/gets. The subject runs at
 //! simulator fan-out 1, 3 and 8 workers; everything must match the
 //! oracle bit-for-bit in all three.
 
@@ -25,7 +25,7 @@ enum Step {
     SingleInsert,
     SingleDelete,
     /// Batch insert of `k` fresh nodes (k ≥ 8 engages the wave engine
-    /// in both the subject and the oracle).
+    /// in the fault-free oracle).
     Inserts(u8),
     /// Batch delete of `k` distinct victims.
     Deletes(u8),
@@ -233,7 +233,6 @@ fn run_script(n0: u64, seed: u64, steps: &[Step], threads: usize) -> DexNetwork 
     assert_eq!(fs.floods_partial, 0, "zero faults degraded a flood");
     assert_eq!(fs.type2_rollbacks, 0, "zero faults rolled back a type-2");
     assert_eq!(fs.type2_reinitiations, 0);
-    assert_eq!(fs.wave_replans, 0, "replans counted under a zero spec");
     assert!(fs.sent > 0, "script never exercised the simulator");
     invariants::assert_ok(&subject);
     subject
@@ -306,58 +305,69 @@ fn zero_fault_flood_and_type2_script_matches() {
     }
 }
 
-/// The wave engine must stay engaged under a real fault spec and produce
-/// *exactly* the interleaved faulted-sequential result: same graph, same
-/// Φ, same DHT, same charges, same fault counters (modulo the
-/// planner-only `wave_replans` counter) — at every worker count.
+/// While a fault spec is installed — zero or lossy — `insert_batch`/
+/// `delete_batch` must bypass the wave engine and heal exactly as the
+/// `*_seq` oracle does: no waved op, and the network, every step's
+/// `StepMetrics` and the fault counters byte-identical — at every
+/// worker count.
 #[test]
-fn faulted_waved_batch_matches_faulted_sequential() {
-    let spec = FaultSpec::zero()
+fn faulted_batches_heal_on_the_sequential_path() {
+    let lossy = FaultSpec::zero()
         .with_loss(350)
         .with_latency(1, 3)
         .with_retries(4, 4)
         .with_fallback(2)
         .with_seed(0x57a7e);
-    for threads in [1usize, 3, 8] {
-        let cfg = DexConfig::new(0x3a7b_a7c4).simplified();
-        let mut waved = DexNetwork::bootstrap(cfg, 140);
-        let mut seq = DexNetwork::bootstrap(cfg, 140);
-        waved.set_heal_threads(threads);
-        waved.set_faults(Some(spec));
-        seq.set_faults(Some(spec));
-        let mut script = Script::new(&waved, 0x5e9_0b47);
-        for step in [
-            Step::Inserts(12),
-            Step::Deletes(9),
-            Step::Inserts(16),
-            Step::Deletes(8),
-        ] {
-            let pair = match step {
-                Step::Inserts(k) => {
-                    let joins = script.joins(k);
-                    let mw = waved.insert_batch(&joins);
-                    let ms = seq.insert_batch_seq(&joins);
-                    script.live.extend(joins.iter().map(|&(u, _)| u));
-                    Some((mw, ms))
-                }
-                Step::Deletes(k) => script
-                    .victims(k)
-                    .map(|v| (waved.delete_batch(&v), seq.delete_batch_seq(&v))),
-                _ => unreachable!(),
-            };
-            let (mw, ms) = pair.expect("bootstrap is large enough for every batch");
-            assert_metrics_match(&mw, &ms);
-            invariants::assert_ok(&waved);
+    for spec in [FaultSpec::zero(), lossy] {
+        for threads in [1usize, 3, 8] {
+            let cfg = DexConfig::new(0x3a7b_a7c4).simplified();
+            let mut routed = DexNetwork::bootstrap(cfg, 140);
+            let mut seq = DexNetwork::bootstrap(cfg, 140);
+            routed.set_heal_threads(threads);
+            seq.set_heal_threads(threads);
+            routed.set_faults(Some(spec));
+            seq.set_faults(Some(spec));
+            let mut script = Script::new(&routed, 0x5e9_0b47);
+            for step in [
+                Step::Inserts(12),
+                Step::Deletes(9),
+                Step::Inserts(16),
+                Step::Deletes(8),
+            ] {
+                let pair = match step {
+                    Step::Inserts(k) => {
+                        let joins = script.joins(k);
+                        let mr = routed.insert_batch(&joins);
+                        let ms = seq.insert_batch_seq(&joins);
+                        script.live.extend(joins.iter().map(|&(u, _)| u));
+                        Some((mr, ms))
+                    }
+                    Step::Deletes(k) => script
+                        .victims(k)
+                        .map(|v| (routed.delete_batch(&v), seq.delete_batch_seq(&v))),
+                    _ => unreachable!(),
+                };
+                let (mr, ms) = pair.expect("bootstrap is large enough for every batch");
+                assert_eq!(
+                    format!("{mr:?}"),
+                    format!("{ms:?}"),
+                    "step metrics diverged"
+                );
+                invariants::assert_ok(&routed);
+            }
+            assert_networks_identical(&routed, &seq);
+            assert_eq!(
+                routed.batch_stats.waved_ops, 0,
+                "faulted batch entered the wave engine"
+            );
+            assert_eq!(routed.batch_stats.waves, 0);
+            let fs = routed.fault_stats();
+            assert_eq!(fs, seq.fault_stats(), "fault counters diverged");
+            assert!(fs.sent > 0, "batches never ran on the simulator");
+            if !spec.is_zero() {
+                assert!(fs.sent > fs.delivered, "loss never fired");
+            }
         }
-        assert_networks_identical(&waved, &seq);
-        assert!(
-            waved.batch_stats.waved_ops > 0,
-            "wave engine disengaged under the fault spec"
-        );
-        let mut fw = waved.fault_stats();
-        fw.wave_replans = 0; // planner-only counter; sequential never plans
-        assert_eq!(fw, seq.fault_stats(), "fault counters diverged");
-        assert!(fw.sent > fw.delivered, "loss never fired");
     }
 }
 

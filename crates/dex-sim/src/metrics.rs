@@ -65,11 +65,6 @@ pub struct StepMetrics {
     /// observability: the metered costs above are charged identically
     /// either way.
     pub waves: u32,
-    /// Whether the adaptive small-n crossover controller routed this
-    /// batch step to the sequential heal path (cache-resident regime or
-    /// high observed replan rate). Pure observability, like `waves`:
-    /// either route produces bit-identical state and charges.
-    pub crossover: bool,
     /// Network size after the step.
     pub n_after: usize,
 }
@@ -326,7 +321,6 @@ mod tests {
             messages: rounds * 10,
             topology_changes: 2,
             waves: 0,
-            crossover: false,
             n_after: 16,
         };
         let steps = vec![
@@ -356,7 +350,6 @@ mod tests {
             messages: rounds * 3 + 1,
             topology_changes: step % 4,
             waves: 0,
-            crossover: false,
             n_after: 9,
         };
         let steps: Vec<StepMetrics> = (1..40)

@@ -52,9 +52,6 @@ pub struct StepTotals {
     /// across all steps (observability only; costs are charged the same
     /// as sequential application).
     pub heal_waves: u64,
-    /// Batch steps the adaptive small-n crossover controller routed to
-    /// the sequential heal path (observability only).
-    pub crossover_steps: u64,
 }
 
 /// Metered dynamic network. See module docs.
@@ -64,7 +61,6 @@ pub struct Network {
     messages: u64,
     topology_changes: u64,
     waves: u64,
-    crossover: bool,
     in_step: bool,
     step_counter: u64,
     mode: HistoryMode,
@@ -83,7 +79,6 @@ impl Network {
             messages: 0,
             topology_changes: 0,
             waves: 0,
-            crossover: false,
             in_step: false,
             step_counter: 0,
             mode: HistoryMode::Full,
@@ -235,15 +230,6 @@ impl Network {
         self.waves += 1;
     }
 
-    /// Record that the adaptive small-n crossover controller routed the
-    /// current batch step to the sequential heal path. Observability only,
-    /// like [`Network::note_heal_wave`] — both routes produce bit-identical
-    /// state and charges.
-    #[inline]
-    pub fn note_crossover(&mut self) {
-        self.crossover = true;
-    }
-
     /// Counters since the current step began: `(rounds, messages,
     /// topology_changes)`.
     pub fn current_counters(&self) -> (u64, u64, u64) {
@@ -261,7 +247,6 @@ impl Network {
         self.messages = 0;
         self.topology_changes = 0;
         self.waves = 0;
-        self.crossover = false;
     }
 
     /// End the step, record and return its metrics.
@@ -276,7 +261,6 @@ impl Network {
             messages: self.messages,
             topology_changes: self.topology_changes,
             waves: u32::try_from(self.waves).expect("wave count overflow"),
-            crossover: self.crossover,
             n_after: self.n(),
         };
         self.totals.steps += 1;
@@ -284,9 +268,6 @@ impl Network {
         self.totals.messages += m.messages;
         self.totals.topology_changes += m.topology_changes;
         self.totals.heal_waves += self.waves;
-        if self.crossover {
-            self.totals.crossover_steps += 1;
-        }
         if recovery.is_type2() {
             self.totals.type2_steps += 1;
         }
