@@ -26,15 +26,13 @@
 //! Determinism contract: everything in the JSON except the executor
 //! header is **byte-identical** for a given `--seed` regardless of
 //! `--exec-threads` (CI byte-diffs the smoke output across 1/3/8).
-//! Nothing in the JSON reads the wall clock. The `DEX_FAULT_*` knobs are
-//! bench-harness experiment inputs (extra loss point, retry budget, fault
-//! seed); their resolved values land in the config header, and CI leaves
-//! them unset.
+//! Nothing in the JSON reads the wall clock. Every fault spec uses the
+//! fixed loss grid {0, 250, 500, 800}‰, 6 walk and route retries, and a
+//! fault seed derived from `--seed`.
 //!
 //! ```sh
 //! cargo run --release -p dex-bench --bin bench_faults            # full
 //! cargo run --release -p dex-bench --bin bench_faults -- --smoke # CI-sized
-//! DEX_FAULT_LOSS=900 cargo run --release -p dex-bench --bin bench_faults
 //! ```
 
 use dex::prelude::*;
@@ -55,7 +53,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
-        threads: dex::sim::parallel::default_threads(),
+        threads: dex::exec::thread_budget(),
         seed: 0xfa57_cafe,
         trials: 0, // 0 = scale default
         out: None,
@@ -85,30 +83,21 @@ fn parse_args() -> Args {
     args
 }
 
-/// The loss grid, in 1/1000 units: the fixed acceptance curve plus the
-/// optional `DEX_FAULT_LOSS` experiment point (deduplicated, sorted).
-fn loss_grid() -> Vec<u32> {
-    let mut grid = vec![0, 250, 500, 800];
-    if let Some(extra) = dex::exec::knobs::fault_loss() {
-        if !grid.contains(&extra) {
-            grid.push(extra);
-        }
-    }
-    grid.sort_unstable();
-    grid
-}
+/// The loss grid, in 1/1000 units.
+const LOSS_GRID: [u32; 4] = [0, 250, 500, 800];
 
-/// The fault spec for one loss point: loss plus mild latency skew, retry
-/// budgets and fault seed overridable through the experiment knobs.
+/// Walk and route re-initiation budget of every fault spec.
+const RETRIES: u32 = 6;
+
+/// The fault spec for one loss point: loss plus mild latency skew, the
+/// fixed retry budgets, and a fault seed derived from `seed`.
 fn spec_for(loss: u32, seed: u64) -> FaultSpec {
-    let retries = dex::exec::knobs::fault_retries().unwrap_or(6);
-    let fseed = dex::exec::knobs::fault_seed().unwrap_or(splitmix64(seed ^ 0xfa57));
     FaultSpec::zero()
         .with_loss(loss)
         .with_latency(1, 3)
-        .with_retries(retries, retries)
+        .with_retries(RETRIES, RETRIES)
         .with_fallback(2)
-        .with_seed(fseed)
+        .with_seed(splitmix64(seed ^ 0xfa57))
 }
 
 fn summary_json(s: &Summary) -> String {
@@ -398,7 +387,6 @@ fn main() {
     } else {
         3
     };
-    let losses = loss_grid();
     let out = args
         .out
         .clone()
@@ -422,18 +410,14 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"config\": {{\"n0\": {n0}, \"trials\": {trials}, \"seed\": {}, \"smoke\": {}, \
-         \"loss_grid\": [{}], \"fault_loss_knob\": {}, \"fault_retries_knob\": {}, \
-         \"fault_seed_knob\": {}}},",
+         \"loss_grid\": [{}]}},",
         args.seed,
         args.smoke,
-        losses
+        LOSS_GRID
             .iter()
             .map(|l| l.to_string())
             .collect::<Vec<_>>()
             .join(", "),
-        dex::exec::knobs::fault_loss().map_or("null".into(), |v| v.to_string()),
-        dex::exec::knobs::fault_retries().map_or("null".into(), |v| v.to_string()),
-        dex::exec::knobs::fault_seed().map_or("null".into(), |v| v.to_string()),
     );
     let _ = writeln!(json, "  {},", dex_bench::exec_header_json());
 
@@ -444,7 +428,7 @@ fn main() {
     );
     let n_ops = if args.smoke { 200 } else { 2000 };
     let _ = writeln!(json, "  \"percolation\": [");
-    for (i, &loss) in losses.iter().enumerate() {
+    for (i, &loss) in LOSS_GRID.iter().enumerate() {
         let t0 = std::time::Instant::now();
         let point = percolation_point(frozen.graph(), loss, args.seed, n_ops, args.threads);
         println!(
@@ -454,14 +438,14 @@ fn main() {
         let _ = writeln!(
             json,
             "    {point}{}",
-            if i + 1 < losses.len() { "," } else { "" }
+            if i + 1 < LOSS_GRID.len() { "," } else { "" }
         );
     }
     let _ = writeln!(json, "  ],");
 
     // ---- Section 2: protocol-level degradation curve --------------------
     let _ = writeln!(json, "  \"degradation\": [");
-    for (i, &loss) in losses.iter().enumerate() {
+    for (i, &loss) in LOSS_GRID.iter().enumerate() {
         let t0 = std::time::Instant::now();
         let (point, agg) = degradation_point(loss, &opts, args.smoke);
         println!(
@@ -474,7 +458,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {point}{}",
-            if i + 1 < losses.len() { "," } else { "" }
+            if i + 1 < LOSS_GRID.len() { "," } else { "" }
         );
     }
     let _ = writeln!(json, "  ],");
@@ -482,28 +466,28 @@ fn main() {
     // ---- Section 3: flood-aggregate degradation curve -------------------
     let flood_k = if args.smoke { 16 } else { 64 };
     let _ = writeln!(json, "  \"flood_degradation\": [");
-    for (i, &loss) in losses.iter().enumerate() {
+    for (i, &loss) in LOSS_GRID.iter().enumerate() {
         let t0 = std::time::Instant::now();
         let point = flood_point(frozen.graph(), loss, args.seed, flood_k, args.threads);
         println!("flood loss {loss:>4}  ({:.2}s)", t0.elapsed().as_secs_f64());
         let _ = writeln!(
             json,
             "    {point}{}",
-            if i + 1 < losses.len() { "," } else { "" }
+            if i + 1 < LOSS_GRID.len() { "," } else { "" }
         );
     }
     let _ = writeln!(json, "  ],");
 
     // ---- Section 4: type-2 coordination degradation curve ---------------
     let _ = writeln!(json, "  \"type2_degradation\": [");
-    for (i, &loss) in losses.iter().enumerate() {
+    for (i, &loss) in LOSS_GRID.iter().enumerate() {
         let t0 = std::time::Instant::now();
         let point = type2_point(loss, args.seed, args.smoke, args.threads);
         println!("type2 loss {loss:>4}  ({:.2}s)", t0.elapsed().as_secs_f64());
         let _ = writeln!(
             json,
             "    {point}{}",
-            if i + 1 < losses.len() { "," } else { "" }
+            if i + 1 < LOSS_GRID.len() { "," } else { "" }
         );
     }
     let _ = writeln!(json, "  ],");
@@ -559,7 +543,7 @@ fn main() {
     std::fs::write(&out, &json).expect("write faults bench JSON");
     println!(
         "wrote {out} ({} loss points, {} attack families)",
-        losses.len(),
+        LOSS_GRID.len(),
         attacks.len()
     );
 }

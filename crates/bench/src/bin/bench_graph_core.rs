@@ -21,12 +21,12 @@
 //!
 //! Run with `cargo run --release -p dex-bench --bin bench_graph_core`.
 //! `--smoke` emits only deterministic digests (no timings, no occupancy),
-//! byte-identical for any `DEX_MLP_KERNELS` / `DEX_WALK_K` /
-//! `DEX_EXEC_THREADS` setting — CI diffs the engine forced on vs off.
+//! byte-identical for any `DEX_EXEC_THREADS` setting, after asserting the
+//! scalar and memory-level-parallel kernels agree in-process.
 //! `--out FILE` overrides the output path.
 
-use dex::graph::walks::{walk_endpoints_interleaved, SlotWalkJob};
-use dex::graph::{par, spectral};
+use dex::graph::spectral;
+use dex::graph::walks::{walk_endpoints_interleaved, SlotWalkJob, WALK_PIPELINE_K};
 use dex::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -242,7 +242,7 @@ struct WalkKernelRow {
 fn kernel_walks(g: &MultiGraph, n: u64, njobs: usize, len: usize) -> WalkKernelRow {
     let jobs = kernel_jobs(g, n, njobs, len);
     let hops = (njobs * len) as f64;
-    let k = par::walk_pipeline_k();
+    let k = WALK_PIPELINE_K;
     let mut scalar_out = vec![0u32; njobs];
     let mut kway_out = vec![0u32; njobs];
     // Bit-identity first, then timing: a fast wrong kernel is worthless.
@@ -320,7 +320,7 @@ const KERNEL_SIZES: [(u64, &str, usize, usize); 3] = [
 fn kernels_json() -> String {
     let mut json = String::new();
     let _ = writeln!(json, "  \"kernels\": {{");
-    let _ = writeln!(json, "    \"walk_k\": {},", par::walk_pipeline_k());
+    let _ = writeln!(json, "    \"walk_k\": {},", WALK_PIPELINE_K);
     let _ = writeln!(
         json,
         "    \"note\": \"single-core (threads=1); medians of 3 reps on a \
@@ -392,18 +392,17 @@ fn kernels_json() -> String {
 
 // ---------------------------------------------------------------------
 // Smoke mode: deterministic digests only — no timings, no occupancy —
-// byte-identical for any DEX_MLP_KERNELS / DEX_WALK_K / DEX_EXEC_THREADS
-// setting. CI runs it with the engine forced on and off and diffs.
+// byte-identical for any DEX_EXEC_THREADS setting. Scalar and MLP
+// kernels are compared in-process before any digest is written.
 // ---------------------------------------------------------------------
 
 fn run_smoke(base: &MultiGraph) -> String {
-    // Walk endpoints: scalar and K-way must agree in-process, and the
-    // digest of either must not depend on the engine knobs.
+    // Walk endpoints: scalar and K-way must agree in-process.
     let jobs = kernel_jobs(base, P, 512, 64);
     let mut scalar_out = vec![0u32; jobs.len()];
     let mut kway_out = vec![0u32; jobs.len()];
     scalar_walk_batch(base, &jobs, &mut scalar_out);
-    walk_endpoints_interleaved(base, &jobs, par::walk_pipeline_k(), &mut kway_out);
+    walk_endpoints_interleaved(base, &jobs, WALK_PIPELINE_K, &mut kway_out);
     assert_eq!(scalar_out, kway_out, "smoke: K-way endpoints diverged");
     let walk_fnv = scalar_out
         .iter()

@@ -27,7 +27,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
-        threads: dex::sim::parallel::default_threads(),
+        threads: dex::exec::thread_budget(),
         seed: 0xd5c0_cafe,
         trials: 0, // 0 = scale default
     };

@@ -29,8 +29,8 @@
 
 use dex::core::mapping::oracle::HashMapping;
 use dex::core::VirtualMapping;
+use dex::exec::par_map;
 use dex::prelude::*;
-use dex::sim::parallel::par_map;
 use dex::sim::rng::splitmix64;
 use dex::sim::{HasStepLog, HistoryMode, StepLog};
 use std::fmt::Write as _;
@@ -56,7 +56,7 @@ impl Default for HealBenchOptions {
     fn default() -> Self {
         HealBenchOptions {
             smoke: false,
-            threads: dex::sim::parallel::default_threads(),
+            threads: dex::exec::thread_budget(),
             seed: 0x4ea1,
             trials: 0,
             alloc_bytes: None,

@@ -83,17 +83,11 @@ pub fn lineup(seed: u64, n0: u64) -> Vec<Box<dyn Overlay>> {
     ]
 }
 
-/// Overlay display name including the type-2 mode for DEX.
-pub fn overlay_label(o: &dyn Overlay) -> String {
-    o.name().to_string()
-}
-
 /// Executor-environment header fragment for every `BENCH_*.json` emitter:
 /// the machine's `available_parallelism`, the executor's effective thread
-/// budget, and the pool mode. This is what makes flagged Amdahl
-/// projections machine-distinguishable from real multi-core measurements
-/// when a bench is re-run on a bigger box. Deliberately independent of
-/// any `--threads` flag so smoke outputs stay byte-identical across
+/// budget, and the pool mode, so a reader can tell which machine and
+/// thread budget produced the numbers. Deliberately independent of any
+/// `--exec-threads` flag so smoke outputs stay byte-identical across
 /// thread sweeps on one machine.
 pub fn exec_header_json() -> String {
     format!(

@@ -22,14 +22,11 @@
 //! pooled per-batch heal/route cost summaries and a bit-identity digest.
 //!
 //! Determinism contract: everything except the clearly-labelled timing
-//! fields is a pure function of `(smoke, seed, knobs)` — independent of
-//! `--exec-threads`. In `--smoke` mode the timing fields are omitted and
-//! the JSON is **byte-identical** across thread counts (CI runs
-//! `--exec-threads 1/3/8` and diffs the files). The `DEX_SERVE_SHARDS` /
-//! `DEX_SERVE_QUEUE_CAP` knobs are bench-harness experiment inputs; their
-//! effective values land in the config header (CI leaves them unset).
+//! fields is a pure function of `(smoke, seed, shards, queue_cap)` —
+//! independent of `--exec-threads`. In `--smoke` mode the timing fields
+//! are omitted and the JSON is **byte-identical** across thread counts
+//! (CI runs `--exec-threads 1/3/8` and diffs the files).
 
-use dex::exec::knobs;
 use dex::prelude::*;
 use dex::workload::serve::ServeReport;
 use dex::workload::{Arrivals, ServeOptions};
@@ -48,10 +45,9 @@ pub struct ServeBenchOptions {
     pub threads: usize,
     /// Master seed.
     pub seed: u64,
-    /// Shard count (`--shards`); the `DEX_SERVE_SHARDS` knob overrides.
+    /// Shard count (`--shards`).
     pub shards: usize,
-    /// Ingestion-queue bound (`--queue-cap`); `DEX_SERVE_QUEUE_CAP`
-    /// overrides.
+    /// Ingestion-queue bound (`--queue-cap`).
     pub queue_cap: usize,
 }
 
@@ -96,8 +92,7 @@ fn check_report(r: &ServeReport, offered_ops: usize, what: &str) {
 
 /// Run the benchmark; returns the `BENCH_serve.json` contents.
 pub fn run_serve_bench(opts: &ServeBenchOptions) -> String {
-    let shards = knobs::serve_shards().unwrap_or(opts.shards);
-    let queue_cap = knobs::serve_queue_cap().unwrap_or(opts.queue_cap);
+    let (shards, queue_cap) = (opts.shards, opts.queue_cap);
     // Full scale: 4 × 250k = n≈1M aggregate. Smoke: CI-sized.
     let (n0, cal_ops, point_ops, batch_max) = if opts.smoke {
         (48, 192, 320, 16)

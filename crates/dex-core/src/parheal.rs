@@ -91,7 +91,7 @@ use crate::dex::DexNetwork;
 use crate::fabric;
 use dex_graph::adjacency::MultiGraph;
 use dex_graph::ids::{NodeId, VertexId};
-use dex_graph::walks::{run_interleaved, WalkLane};
+use dex_graph::walks::{run_interleaved, WalkLane, WALK_PIPELINE_K};
 use dex_sim::rng::Purpose;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -658,7 +658,9 @@ fn reservoir_step(g: &MultiGraph, nbrs: &[u32], rng: &mut StdRng) -> Option<u32>
 }
 
 /// Speculatively heal one op against the current state. Read-only; all
-/// mutation happens in `scratch.overlay`.
+/// mutation happens in `scratch.overlay`. Scalar oracle (see
+/// [`plan_chunk_scalar`]).
+#[cfg(test)]
 fn plan_op(dex: &DexNetwork, op: BatchOp, walk_len: u64, scratch: &mut PlanScratch) -> OpPlan {
     match op {
         BatchOp::Insert { u, v } => plan_insert(dex, u, v, walk_len, scratch),
@@ -741,7 +743,9 @@ impl WalkLane for InsertLane<'_> {
 
 /// Scalar planner for one chunk of ops (`chunk[i]` plans op
 /// `ops[first + i]`): depth-2 entry pipeline — resolve + prefetch op
-/// i+2's entry record, row-prefetch op i+1, plan op i.
+/// i+2's entry record, row-prefetch op i+1, plan op i. The oracle the
+/// interleaved planner is differentially tested against.
+#[cfg(test)]
 fn plan_chunk_scalar(
     dex: &DexNetwork,
     ops: &[BatchOp],
@@ -813,7 +817,7 @@ fn plan_chunk_interleaved(
             starts.push(start);
         }
     }
-    run_interleaved(g, &mut lanes, &starts, dex_graph::par::walk_pipeline_k());
+    run_interleaved(g, &mut lanes, &starts, WALK_PIPELINE_K);
     // ---- phase 2: finish plans in op order ---------------------------
     let len = chunk.len();
     let mut lane = lanes.into_iter();
@@ -844,6 +848,9 @@ fn plan_chunk_interleaved(
     debug_assert!(lane.next().is_none(), "all insert lanes consumed");
 }
 
+/// Scalar insert planner: the walk loop [`InsertLane`] replays hop for
+/// hop. Oracle for the interleaved planner.
+#[cfg(test)]
 fn plan_insert(
     dex: &DexNetwork,
     u: NodeId,
@@ -1335,16 +1342,8 @@ pub(crate) fn run_batch(dex: &mut DexNetwork, threads: usize) -> bool {
             // fan-out costs parked-worker handoffs, not spawns, so the
             // requested thread count is honored even above the core count.
             let workers = threads.min(stale.div_ceil(PLAN_CHUNK)).max(1);
-            // Per-chunk planner: the K-way interleaved engine unless
-            // `DEX_MLP_KERNELS=0` forces the scalar depth-2 pipeline.
-            // Both produce bit-identical plans (differentially tested).
-            let interleave = dex_graph::par::mlp_enabled();
             let plan_chunk = |start: usize, chunk: &mut [OpPlan], ps: &mut PlanScratch| {
-                if interleave {
-                    plan_chunk_interleaved(dex_ref, ops_ref, base + start, walk_len, chunk, ps);
-                } else {
-                    plan_chunk_scalar(dex_ref, ops_ref, base + start, walk_len, chunk, ps);
-                }
+                plan_chunk_interleaved(dex_ref, ops_ref, base + start, walk_len, chunk, ps);
             };
             if workers <= 1 {
                 plan_chunk(0, plans, &mut inline_scratch);

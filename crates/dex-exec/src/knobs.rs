@@ -8,18 +8,18 @@
 //!
 //! * **Discoverability** — [`REGISTRY`] is the complete, documented list
 //!   of runtime knobs; a knob that is not declared here cannot be read.
-//! * **Determinism auditing** — every knob is either resolved once per
-//!   process and latched (the consumers cache), or feeds only
-//!   *scheduling* (thread counts, pipeline depth), never *results*: the
-//!   repo's bit-identity contract says flipping any knob may change the
-//!   execution schedule but never a computed byte.
+//!   Today it holds one: [`DEX_EXEC_THREADS`]. Everything else a run
+//!   depends on is a constant or an explicit command-line flag.
+//! * **Determinism auditing** — a knob may feed only *scheduling*
+//!   (thread counts), never *results*: the repo's bit-identity contract
+//!   says flipping any knob may change the execution schedule but never
+//!   a computed byte.
 //! * **No typo'd knobs** — consumers name a [`Knob`] from the registry,
 //!   so a misspelled variable name is a compile error, not a silently
 //!   ignored setting.
 //!
-//! Consumers keep their own one-shot caches (atomics in
-//! `dex_graph::par`, [`crate::thread_budget`]'s `BUDGET`): this module
-//! is the read point, not the cache.
+//! Consumers keep their own one-shot caches ([`crate::thread_budget`]'s
+//! `BUDGET`): this module is the read point, not the cache.
 
 /// One declared environment knob.
 #[derive(Debug, Clone, Copy)]
@@ -28,15 +28,9 @@ pub struct Knob {
     pub name: &'static str,
     /// Human-readable default, for docs and `--help`-style listings.
     pub default: &'static str,
-    /// What the knob controls. A knob is one of two kinds, and the doc
-    /// must make clear which: a **scheduling** knob (thread counts,
-    /// pipeline depth — may change the execution schedule but never a
-    /// computed byte, the bit-identity contract), or a **bench-harness
-    /// experiment input** (e.g. an extra fault-curve point) that library
-    /// crates never read — only `dex-bench` binaries consume it, and its
-    /// value is recorded in the output's config header so the run stays
-    /// reproducible. CI leaves experiment inputs unset, so byte-diff
-    /// checks are unaffected.
+    /// What the knob controls. It must be a **scheduling** knob: it may
+    /// change the execution schedule but never a computed byte (the
+    /// bit-identity contract).
     pub doc: &'static str,
 }
 
@@ -49,84 +43,9 @@ pub const DEX_EXEC_THREADS: Knob = Knob {
           knobs across the workspace; explicit per-call counts bypass it",
 };
 
-/// Extra loss-curve point for `bench_faults` (experiment input).
-pub const DEX_FAULT_LOSS: Knob = Knob {
-    name: "DEX_FAULT_LOSS",
-    default: "unset (curve uses the built-in loss grid only)",
-    doc: "bench-harness experiment input: an extra per-send loss probability \
-          (in 1/1000 units, 0..=1000) appended to bench_faults' loss grid; \
-          library crates never read it, and its value lands in the output \
-          config header",
-};
-
-/// Retry-budget override for `bench_faults` (experiment input).
-pub const DEX_FAULT_RETRIES: Knob = Knob {
-    name: "DEX_FAULT_RETRIES",
-    default: "unset (FaultSpec::zero's budgets: 6 walk / 6 route)",
-    doc: "bench-harness experiment input: overrides both the walk and route \
-          re-initiation budgets of every fault spec bench_faults builds; \
-          library crates never read it",
-};
-
-/// Fault-stream seed override for `bench_faults` (experiment input).
-pub const DEX_FAULT_SEED: Knob = Knob {
-    name: "DEX_FAULT_SEED",
-    default: "unset (bench_faults derives fault seeds from --seed)",
-    doc: "bench-harness experiment input: overrides the fault-stream seed of \
-          every fault spec bench_faults builds (the protocol's SeedSpace is \
-          unaffected); library crates never read it",
-};
-
-/// Memory-level-parallel kernel switch (`dex_graph::par::mlp_enabled`).
-pub const DEX_MLP_KERNELS: Knob = Knob {
-    name: "DEX_MLP_KERNELS",
-    default: "on (anything but `0`/`off`/`false`)",
-    doc: "enable the K-way interleaved walk engine and blocked SpMV; both \
-          paths are bit-identical by construction, so this only changes \
-          the memory access schedule (benchmarking / CI byte-diff knob)",
-};
-
-/// Ingestion-queue bound override for `bench_serve` (experiment input).
-pub const DEX_SERVE_QUEUE_CAP: Knob = Knob {
-    name: "DEX_SERVE_QUEUE_CAP",
-    default: "unset (bench_serve uses its --queue-cap flag, default 4096)",
-    doc: "bench-harness experiment input: overrides the bounded per-shard \
-          ingestion-queue capacity of every serving-harness run bench_serve \
-          launches (arrivals beyond it are deterministically shed); library \
-          crates never read it, and its value lands in the output config \
-          header",
-};
-
-/// Shard-count override for `bench_serve` (experiment input).
-pub const DEX_SERVE_SHARDS: Knob = Knob {
-    name: "DEX_SERVE_SHARDS",
-    default: "unset (bench_serve uses its --shards flag, default 4)",
-    doc: "bench-harness experiment input: overrides the number of key-space \
-          shards (independent DexNetwork instances) bench_serve spreads \
-          traffic over; library crates never read it, and its value lands \
-          in the output config header",
-};
-
-/// Walk-pipeline depth (`dex_graph::par::walk_pipeline_k`).
-pub const DEX_WALK_K: Knob = Knob {
-    name: "DEX_WALK_K",
-    default: "8, clamped to [1, 64]",
-    doc: "interleaved walk engine pipeline depth (lanes in flight); results \
-          are K-invariant, only the prefetch schedule changes",
-};
-
 /// Every knob the workspace honors. Keep sorted by name; the registry
 /// test asserts uniqueness.
-pub const REGISTRY: &[Knob] = &[
-    DEX_EXEC_THREADS,
-    DEX_FAULT_LOSS,
-    DEX_FAULT_RETRIES,
-    DEX_FAULT_SEED,
-    DEX_MLP_KERNELS,
-    DEX_SERVE_QUEUE_CAP,
-    DEX_SERVE_SHARDS,
-    DEX_WALK_K,
-];
+pub const REGISTRY: &[Knob] = &[DEX_EXEC_THREADS];
 
 /// Read a declared knob from the process environment. This is the single
 /// `std::env::var` call in the workspace (enforced by `dex-lint`'s
@@ -147,65 +66,6 @@ pub fn exec_threads() -> Option<usize> {
         .parse::<usize>()
         .ok()
         .filter(|&n| n > 0)
-}
-
-/// `DEX_MLP_KERNELS` parsed: `Some(false)` for `0`/`off`/`false`,
-/// `Some(true)` for any other set value, `None` when unset (consumers
-/// default to on).
-pub fn mlp_kernels() -> Option<bool> {
-    let v = raw(&DEX_MLP_KERNELS)?;
-    Some(!matches!(v.as_str(), "0" | "off" | "false"))
-}
-
-/// `DEX_WALK_K` parsed: a positive integer, else `None` (consumers
-/// default to 8 and clamp to their documented range).
-pub fn walk_k() -> Option<usize> {
-    raw(&DEX_WALK_K)?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&k| k > 0)
-}
-
-/// `DEX_FAULT_LOSS` parsed: a loss probability in 1/1000 units, clamped
-/// to the valid `0..=1000` range; `None` when unset or malformed.
-pub fn fault_loss() -> Option<u32> {
-    raw(&DEX_FAULT_LOSS)?
-        .trim()
-        .parse::<u32>()
-        .ok()
-        .map(|m| m.min(1000))
-}
-
-/// `DEX_FAULT_RETRIES` parsed: a retry budget (0 disables re-initiation),
-/// else `None`.
-pub fn fault_retries() -> Option<u32> {
-    raw(&DEX_FAULT_RETRIES)?.trim().parse::<u32>().ok()
-}
-
-/// `DEX_FAULT_SEED` parsed: a u64 fault-stream seed, else `None`.
-pub fn fault_seed() -> Option<u64> {
-    raw(&DEX_FAULT_SEED)?.trim().parse::<u64>().ok()
-}
-
-/// `DEX_SERVE_SHARDS` parsed: a positive shard count, else `None`
-/// (bench_serve falls back to its `--shards` flag).
-pub fn serve_shards() -> Option<usize> {
-    raw(&DEX_SERVE_SHARDS)?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&s| s > 0)
-}
-
-/// `DEX_SERVE_QUEUE_CAP` parsed: a positive per-shard queue bound, else
-/// `None` (bench_serve falls back to its `--queue-cap` flag).
-pub fn serve_queue_cap() -> Option<usize> {
-    raw(&DEX_SERVE_QUEUE_CAP)?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&c| c > 0)
 }
 
 #[cfg(test)]
@@ -238,21 +98,6 @@ mod tests {
         // only check shape, not specific settings).
         if let Some(n) = exec_threads() {
             assert!(n > 0);
-        }
-        if let Some(k) = walk_k() {
-            assert!(k > 0);
-        }
-        let _ = mlp_kernels();
-        if let Some(m) = fault_loss() {
-            assert!(m <= 1000);
-        }
-        let _ = fault_retries();
-        let _ = fault_seed();
-        if let Some(s) = serve_shards() {
-            assert!(s > 0);
-        }
-        if let Some(c) = serve_queue_cap() {
-            assert!(c > 0);
         }
     }
 

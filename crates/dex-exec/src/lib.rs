@@ -2,17 +2,16 @@
 //! persistent, lazily-spawned worker pool with parked-worker handoff,
 //! chunk-deterministic scheduling, and per-worker scratch-state slots.
 //!
-//! Before this crate existed the workspace carried **two** fork-join
-//! runtimes (`dex_graph::par` and `dex_sim::parallel`), both spawning std
-//! scoped threads *per call* — so every planning round of the batch-heal
-//! engine and every trial fan-out paid thread-spawn cost. Both modules are
-//! now thin facades over this pool: a worker thread is spawned at most
-//! once per process (lazily, on first demand), parks between jobs, and is
-//! handed work by writing a job into its mailbox and waking it — the
-//! steady-state cost of a parallel section is a few mutex/condvar
-//! handoffs, not `clone(2)` calls. [`total_spawns`] exposes the spawn
-//! counter so tests can prove the hot loop performs **zero thread spawns
-//! after warm-up**.
+//! Every parallel section in the workspace calls this crate directly:
+//! the spectral kernels, permutation routing, the type-2 rebuild, the
+//! message-level simulator, the batch-heal planner, the scenario and
+//! serving harnesses, and the benchmark binaries. A worker thread is
+//! spawned at most once per process (lazily, on first demand), parks
+//! between jobs, and is handed work by writing a job into its mailbox and
+//! waking it — the steady-state cost of a parallel section is a few
+//! mutex/condvar handoffs, not `clone(2)` calls. [`total_spawns`] exposes
+//! the spawn counter so tests can prove the hot loop performs **zero
+//! thread spawns after warm-up**.
 //!
 //! # Determinism contract
 //!
@@ -51,10 +50,11 @@
 //! # Thread budget
 //!
 //! [`thread_budget`] is the *default* worker count used by auto/unset
-//! knobs across the workspace (`ExecConfig::AUTO`, the facades'
-//! `default_threads`): the `DEX_EXEC_THREADS` environment variable when
-//! set (CI forces 8 to exercise real fan-out on few-core runners),
-//! otherwise `available_parallelism`, clamped to `[1, MAX_WORKERS]`.
+//! thread counts across the workspace (`ExecConfig::AUTO`): the
+//! `DEX_EXEC_THREADS` environment variable — the workspace's only knob
+//! ([`knobs::REGISTRY`]) — when set (CI forces 8 to exercise real
+//! fan-out on few-core runners), otherwise `available_parallelism`,
+//! clamped to `[1, MAX_WORKERS]`.
 //! Explicitly requested thread counts are honored as-is — determinism
 //! tests sweep 1/3/8 regardless of the machine.
 

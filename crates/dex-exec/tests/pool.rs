@@ -5,7 +5,8 @@
 //! must perform zero thread spawns.
 
 use dex_exec::{
-    for_chunks_scratch_mut, par_map, prewarm, reduce_chunks, run_workers, total_spawns, MAX_WORKERS,
+    for_chunks_scratch_mut, for_chunks_state_mut, par_map, prewarm, reduce_chunks, run_workers,
+    total_spawns, MAX_WORKERS,
 };
 use proptest::prelude::*;
 
@@ -66,10 +67,12 @@ proptest! {
         }
     }
 
-    // The ordered-combine helpers share the contract.
+    // The ordered-combine helpers share the contract, and so does the
+    // caller-chunked pass with per-worker state.
     #[test]
     fn map_and_reduce_are_thread_invariant(
         items in proptest::collection::vec(any::<u64>(), 0..3000),
+        chunk in 1usize..96,
     ) {
         let seq_map: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(3) + 1).collect();
         let seq_red = reduce_chunks(items.len(), 1, |lo, hi| {
@@ -84,6 +87,23 @@ proptest! {
                 items[lo..hi].iter().map(|&x| (x % 1024) as f64).sum()
             });
             prop_assert_eq!(red.to_bits(), seq_red.to_bits());
+        }
+        let want: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| x.wrapping_mul(31) ^ i as u64)
+            .collect();
+        for threads in [1usize, 3, 8] {
+            let mut data = items.clone();
+            for_chunks_state_mut(&mut data, threads, chunk, Vec::<u64>::new, |start, part, seen| {
+                // Per-worker state is scratch: it accumulates across the
+                // worker's chunks but never feeds a result.
+                seen.push(start as u64);
+                for (i, v) in part.iter_mut().enumerate() {
+                    *v = v.wrapping_mul(31) ^ (start + i) as u64;
+                }
+            });
+            prop_assert_eq!(&data, &want, "threads={} chunk={}", threads, chunk);
         }
     }
 }

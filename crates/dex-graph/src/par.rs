@@ -1,26 +1,8 @@
-//! Deterministic chunked parallelism for dense numeric loops — a thin
-//! facade over the persistent [`dex_exec`] worker pool.
+//! Memory-level parallelism helpers: a portable software-prefetch hint,
+//! plus two constant reporters the repository benchmark prints.
 //!
-//! The spectral engine parallelizes two shapes of work: disjoint writes
-//! (mat-vec output rows) and reductions (dots, norms). Both are chunked on
-//! a **fixed** chunk size, independent of the worker count, and reduction
-//! partials are combined sequentially in chunk order — so results are
-//! bit-identical for any thread count, including 1. A determinism test in
-//! `spectral` enforces this.
-//!
-//! Workers come from the process-wide `dex-exec` pool: threads are spawned
-//! lazily at most once per process, park between jobs, and are handed work
-//! by mailbox — a parallel section costs a few condvar handoffs, not
-//! thread spawns (`dex_exec::total_spawns` lets tests assert zero spawns
-//! after warm-up). Callers should still only engage `threads > 1` when the
-//! per-call work clearly dominates a handoff (the spectral engine gates on
-//! [`PAR_MIN_LEN`] rows); [`default_threads`] resolves to the executor's
-//! global thread budget (`DEX_EXEC_THREADS` override, else available
-//! parallelism).
-
-pub use dex_exec::{CHUNK, PAR_MIN_LEN};
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! Thread-level parallelism lives in [`dex_exec`]; callers use its chunk
+//! primitives directly.
 
 /// Hint the CPU to pull the cache line at `p` toward L1 (x86_64
 /// `prefetcht0`, aarch64 `prfm pldl1keep`; a no-op elsewhere). Safe for
@@ -57,122 +39,27 @@ pub fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
-/// Cached tri-state for the `DEX_MLP_KERNELS` knob: 0 = unresolved,
-/// 1 = off, 2 = on.
-static MLP: AtomicU8 = AtomicU8::new(0);
-
 /// Are the memory-level-parallel kernels (K-way interleaved walks, blocked
-/// SpMV) enabled? Default **on**; set `DEX_MLP_KERNELS=0` (or `off`) to
-/// force the scalar paths. The knob exists for benchmarking and CI
-/// byte-diffs only — both paths are bit-identical by construction, so
-/// flipping it never changes a result, only the memory access schedule.
-/// Read once per process (cached).
-pub fn mlp_enabled() -> bool {
-    match MLP.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let on = dex_exec::knobs::mlp_kernels().unwrap_or(true);
-            MLP.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
+/// SpMV) the runtime path? Always: the scalar kernels remain only as
+/// test oracles. Kept as a reporter for benchmark config headers.
+pub const fn mlp_enabled() -> bool {
+    true
 }
 
-/// Pipeline depth for the interleaved walk engine: `DEX_WALK_K` when set
-/// to a positive integer, else 8, clamped to `[1, 64]`. K ≈ 8 covers one
-/// DRAM miss (~80–100 ns) with ~7 other lanes' compute (~10–15 ns each);
-/// larger K wastes L1 on in-flight lines, smaller K leaves latency
-/// uncovered. Read once per process (cached).
-pub fn walk_pipeline_k() -> usize {
-    static K: AtomicU8 = AtomicU8::new(0);
-    match K.load(Ordering::Relaxed) {
-        0 => {
-            let k = dex_exec::knobs::walk_k().unwrap_or(8).clamp(1, 64);
-            K.store(k as u8, Ordering::Relaxed);
-            k
-        }
-        k => k as usize,
-    }
-}
-
-/// Worker threads to use by default: the executor's global thread budget
-/// (`DEX_EXEC_THREADS` when set, else available parallelism, clamped to
-/// `[1, 16]`).
-pub fn default_threads() -> usize {
-    dex_exec::thread_budget()
-}
-
-/// Apply `f(start_index, chunk)` to consecutive [`CHUNK`]-sized pieces of
-/// `data`, possibly in parallel on the pool. Chunk boundaries do not
-/// depend on `threads`, and chunks never overlap, so any per-element
-/// result is computed exactly once, by exactly one worker, from the same
-/// inputs.
-pub fn for_chunks_mut<T, F>(data: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    dex_exec::for_chunks_mut(data, threads, f);
-}
-
-/// [`for_chunks_mut`] with a caller-chosen fixed chunk size and a
-/// per-worker state built by `init` (once per engaged worker per call).
-///
-/// Determinism contract, same as [`for_chunks_mut`]: chunk boundaries
-/// depend only on `chunk_size` (never on `threads`), chunks are disjoint,
-/// and per-element results may depend only on `(start_index, element)` —
-/// the worker state must act as scratch, not as an input that varies with
-/// which worker processed the chunk. Under that contract results are
-/// bit-identical for any thread count.
-pub fn for_chunks_state_mut<T, S, I, F>(
-    data: &mut [T],
-    threads: usize,
-    chunk_size: usize,
-    init: I,
-    f: F,
-) where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
-    dex_exec::for_chunks_state_mut(data, threads, chunk_size, init, f);
-}
-
-/// Chunked reduction: `partial(lo, hi)` produces the partial sum of the
-/// half-open index range, partials are computed (possibly in parallel) per
-/// fixed chunk, then combined **sequentially in chunk order** — so the
-/// floating-point result is independent of the thread count.
-pub fn reduce_chunks<F>(n: usize, threads: usize, partial: F) -> f64
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    dex_exec::reduce_chunks(n, threads, partial)
-}
-
-/// Fused chunked mutate-and-reduce ([`dex_exec::for_chunks_fold_mut`]):
-/// one streaming pass both rewrites `data` and folds per-chunk partials,
-/// combined sequentially in chunk order — bit-identical to a mutation
-/// pass followed by a separate [`reduce_chunks`], at any thread count.
-pub fn for_chunks_fold_mut<T, A, F, C>(
-    data: &mut [T],
-    threads: usize,
-    zero: A,
-    f: F,
-    combine: C,
-) -> A
-where
-    T: Send,
-    A: Send + Copy,
-    F: Fn(usize, &mut [T]) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    dex_exec::for_chunks_fold_mut(data, threads, zero, f, combine)
+/// Pipeline depth of the interleaved walk engine,
+/// [`crate::walks::WALK_PIPELINE_K`]. Kept as a reporter for benchmark
+/// config headers.
+pub const fn walk_pipeline_k() -> usize {
+    crate::walks::WALK_PIPELINE_K
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    // Spectral (here) and permutation routing (dex-core) call these
+    // `dex_exec` chunk primitives directly; the tests below pin the chunk
+    // contract they rely on.
+    use dex_exec::{for_chunks_mut, for_chunks_state_mut, reduce_chunks, CHUNK};
 
     #[test]
     fn prefetch_compiles_and_tolerates_any_address() {
@@ -191,12 +78,11 @@ mod tests {
 
     #[test]
     fn mlp_knobs_are_cached_and_in_range() {
-        // Whatever the environment says, repeated reads agree (the knob is
-        // latched on first read) and K is in its documented range.
-        assert_eq!(mlp_enabled(), mlp_enabled());
-        let k = walk_pipeline_k();
-        assert!((1..=64).contains(&k), "K={k}");
-        assert_eq!(walk_pipeline_k(), k);
+        // The reporters are constants: the MLP kernels are the runtime
+        // path and K is the engine's fixed depth.
+        assert!(mlp_enabled());
+        assert_eq!(walk_pipeline_k(), crate::walks::WALK_PIPELINE_K);
+        assert!(walk_pipeline_k() >= 1);
     }
 
     #[test]

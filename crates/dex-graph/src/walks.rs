@@ -36,9 +36,9 @@
 //!
 //! Consumers implement [`WalkLane`] (per-hop draw + arrival test) and get
 //! the pipeline for free; [`walk_endpoints_interleaved`] is the
-//! fixed-length uniform-walk instantiation used by `dex-sim`. Pipeline
-//! depth comes from [`crate::par::walk_pipeline_k`] (`DEX_WALK_K`, default
-//! 8) and the engine reports mean in-flight occupancy for observability.
+//! fixed-length uniform-walk instantiation the graph-core benchmark
+//! times. Runtime callers pass [`WALK_PIPELINE_K`] as the pipeline depth,
+//! and the engine reports mean in-flight occupancy for observability.
 
 use crate::adjacency::MultiGraph;
 use crate::ids::NodeId;
@@ -48,6 +48,13 @@ use rand::{Rng, SeedableRng};
 // ======================================================================
 // K-way interleaved walk engine
 // ======================================================================
+
+/// Pipeline depth (lanes in flight) every runtime caller of
+/// [`run_interleaved`] uses. K = 8 covers one DRAM miss (~80–100 ns) with
+/// ~7 other lanes' compute (~10–15 ns each); a larger K spends L1 on
+/// in-flight lines, a smaller one leaves latency uncovered. Results are
+/// K-invariant, so this is a schedule choice, not a parameter.
+pub const WALK_PIPELINE_K: usize = 8;
 
 /// One walk participating in [`run_interleaved`]. A lane owns *all* state
 /// of its walk — RNG stream, hop budget, accumulated outcome — so lanes

@@ -9,9 +9,9 @@
 
 use dex_adversary::{driver, Action, IdAllocator};
 use dex_core::{invariants, DexConfig, DexNetwork};
+use dex_exec::par_map;
 use dex_graph::fxhash::FxHashMap;
 use dex_graph::spectral::Lambda2Solver;
-use dex_sim::parallel::par_map;
 use dex_sim::rng::splitmix64;
 use dex_sim::{HasStepLog, HistoryMode, StepAggregate, StepLog, StepMetrics};
 use rand::rngs::StdRng;

@@ -33,9 +33,9 @@
 
 use dex_core::batch::MAX_ATTACH_FAN_IN;
 use dex_core::{DexConfig, DexNetwork};
+use dex_exec::par_map;
 use dex_graph::fxhash::FxHashMap;
 use dex_graph::ids::NodeId;
-use dex_sim::parallel::{default_threads, par_map};
 use dex_sim::rng::splitmix64;
 use dex_sim::{HasStepLog, HistoryMode, StepAggregate, StepLog, Summary};
 use std::collections::VecDeque;
@@ -295,7 +295,7 @@ pub fn run_serve(opts: &ServeOptions) -> ServeReport {
     let schedule = build_schedule(opts);
     let idx: Vec<usize> = (0..opts.shards).collect();
     let threads = if opts.threads == 0 {
-        default_threads()
+        dex_exec::thread_budget()
     } else {
         opts.threads
     };

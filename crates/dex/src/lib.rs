@@ -12,10 +12,12 @@
 //! * [`graph`] — multigraphs, the p-cycle expander family, primes,
 //!   spectral analysis, exact expansion;
 //! * [`sim`] — the synchronous CONGEST simulator substrate (metered
-//!   rounds / messages / topology changes);
+//!   rounds / messages / topology changes) and the message-level
+//!   simulator with loss, latency and partition faults;
 //! * [`exec`] — the persistent deterministic executor every parallel
-//!   section in the stack fans out over (worker pool, thread budget,
-//!   per-worker scratch slots);
+//!   section in the stack calls directly (worker pool, chunk and map
+//!   primitives, per-worker scratch slots), and the workspace's one
+//!   environment knob, `DEX_EXEC_THREADS`;
 //! * [`core`] — the DEX algorithm: type-1 recovery, simplified and
 //!   staggered type-2 recovery, the DHT, batch churn, invariant checkers;
 //! * [`adversary`] — adaptive attack strategies and churn traces;
@@ -69,7 +71,6 @@ pub mod prelude {
     pub use dex_graph::spectral::Lambda2Solver;
     pub use dex_graph::MultiGraph;
     pub use dex_sim::msim::{FaultSpec, FaultStats, OpStatus, RouteOp, WalkOp};
-    pub use dex_sim::parallel::{par_walk_endpoints, WalkJob};
     pub use dex_sim::{RecoveryKind, StepAggregate, StepKind, StepMetrics, Summary};
     pub use dex_workload::{
         pool_aggregate, run_trials, Phase, RunOptions, Scenario, Targeting, TrialReport,
